@@ -1,11 +1,11 @@
 #include "cluster/coalescer.h"
 
 #include <algorithm>
-#include <atomic>
 #include <memory>
 #include <mutex>
 #include <utility>
 
+#include "cluster/attempt.h"
 #include "cluster/node.h"
 #include "cluster/router.h"
 #include "storage/engine.h"
@@ -84,42 +84,25 @@ void ReadCoalescer::Flush(NodeId target) {
     return;
   }
 
-  struct Guard {
-    std::atomic<bool> done{false};
-    Executor::TaskId timeout_event = Executor::kInvalidTask;
-    bool Claim() { return !done.exchange(true, std::memory_order_acq_rel); }
-  };
-  auto guard = std::make_shared<Guard>();
   auto shared_keys = std::make_shared<std::vector<std::string>>(std::move(keys));
-  guard->timeout_event = loop_->ScheduleAfter(
-      sender->config().request_timeout, [this, guard, shared_keys, target] {
-        if (!guard->Claim()) return;
+  RunAttempt<MultiGetReply>(
+      loop_, network_, sender->client_id(), target, request_bytes,
+      sender->config().request_timeout,
+      [node, priority, shared_keys](std::function<void(MultiGetReply)> respond) {
+        node->HandleMultiGet(*shared_keys, priority, std::move(respond));
+      },
+      [this, shared_keys](MultiGetReply reply) {
+        for (size_t i = 0; i < shared_keys->size() && i < reply.results.size(); ++i) {
+          CompleteKey((*shared_keys)[i], std::move(reply.results[i]), reply.as_of[i]);
+        }
+      },
+      [this, shared_keys, target] {
         {
           std::lock_guard<std::mutex> lock(mu_);
           ++stats_.batch_timeouts;
         }
         for (const std::string& key : *shared_keys) FailOverKey(key, target);
       });
-
-  NodeId self = sender->client_id();
-  network_->Send(self, target, request_bytes,
-                 [this, node, target, self, priority, guard, shared_keys]() mutable {
-    node->HandleMultiGet(*shared_keys, priority,
-                         [this, target, self, guard, shared_keys](MultiGetReply reply) mutable {
-      int64_t reply_bytes = 0;
-      for (const Result<Record>& r : reply.results) {
-        reply_bytes += r.ok() ? WireSize(*r) : 8;
-      }
-      network_->Send(target, self,
-                     reply_bytes, [this, guard, shared_keys, reply = std::move(reply)]() mutable {
-        if (!guard->Claim()) return;
-        loop_->Cancel(guard->timeout_event);
-        for (size_t i = 0; i < shared_keys->size() && i < reply.results.size(); ++i) {
-          CompleteKey((*shared_keys)[i], std::move(reply.results[i]), reply.as_of[i]);
-        }
-      });
-    });
-  });
 }
 
 bool ReadCoalescer::FollowerServable(const PendingRead& follower, const Result<Record>& result,

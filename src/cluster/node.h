@@ -165,15 +165,11 @@ class StorageNode {
   // --- request handlers -----------------------------------------------
   //
   // Every request handler takes the request's RequestPriority so admission
-  // can shed kLow work first under overload; the priority-less overloads
-  // (kNormal) keep internal callers and older call sites unchanged.
+  // can shed kLow work first under overload.
 
   /// Point read of `key`.
   void HandleGet(const std::string& key, RequestPriority priority,
                  std::function<void(Result<Record>)> respond);
-  void HandleGet(const std::string& key, std::function<void(Result<Record>)> respond) {
-    HandleGet(key, RequestPriority::kNormal, std::move(respond));
-  }
 
   /// Batched point reads: one admission (base get cost + a smaller marginal
   /// cost per extra key) and one engine MultiGet over the whole key set.
@@ -181,10 +177,6 @@ class StorageNode {
   /// redirect the sub-batch.
   void HandleMultiGet(const std::vector<std::string>& keys, RequestPriority priority,
                       std::function<void(MultiGetReply)> respond);
-  void HandleMultiGet(const std::vector<std::string>& keys,
-                      std::function<void(MultiGetReply)> respond) {
-    HandleMultiGet(keys, RequestPriority::kNormal, std::move(respond));
-  }
 
   /// Batched writes: the whole batch is WAL-logged with one group-commit
   /// sync, applied, then each record replicates on the normal streams.
@@ -194,29 +186,17 @@ class StorageNode {
   void HandleMultiWrite(std::vector<MultiWriteItem> items, AckMode ack,
                         RequestPriority priority,
                         std::function<void(std::vector<Status>)> respond);
-  void HandleMultiWrite(std::vector<MultiWriteItem> items, AckMode ack,
-                        std::function<void(std::vector<Status>)> respond) {
-    HandleMultiWrite(std::move(items), ack, RequestPriority::kNormal, std::move(respond));
-  }
 
   /// Range read [start, end) with limit.
   void HandleScan(const std::string& start, const std::string& end, size_t limit,
                   RequestPriority priority,
                   std::function<void(Result<std::vector<Record>>)> respond);
-  void HandleScan(const std::string& start, const std::string& end, size_t limit,
-                  std::function<void(Result<std::vector<Record>>)> respond) {
-    HandleScan(start, end, limit, RequestPriority::kNormal, std::move(respond));
-  }
 
   /// Write (put or tombstone) for partition `pid`. This node must be the
   /// partition's primary; it applies locally then drives replication.
   /// `respond` fires according to `ack`.
   void HandleWrite(PartitionId pid, const WalRecord& record, AckMode ack,
                    RequestPriority priority, std::function<void(Status)> respond);
-  void HandleWrite(PartitionId pid, const WalRecord& record, AckMode ack,
-                   std::function<void(Status)> respond) {
-    HandleWrite(pid, record, ack, RequestPriority::kNormal, std::move(respond));
-  }
 
   /// Compare-and-set put used by the serializable write policy: applies
   /// only when the stored version equals `expected` (absent = expect no
@@ -224,12 +204,6 @@ class StorageNode {
   void HandleConditionalPut(PartitionId pid, const std::string& key, const std::string& value,
                             std::optional<Version> expected, Version new_version, AckMode ack,
                             RequestPriority priority, std::function<void(Status)> respond);
-  void HandleConditionalPut(PartitionId pid, const std::string& key, const std::string& value,
-                            std::optional<Version> expected, Version new_version, AckMode ack,
-                            std::function<void(Status)> respond) {
-    HandleConditionalPut(pid, key, value, expected, new_version, ack,
-                         RequestPriority::kNormal, std::move(respond));
-  }
 
   /// Replication batch arrival (secondary side). Applies records with
   /// sequence numbers in (last_applied, ...] and acks cumulatively.

@@ -85,24 +85,27 @@ NodeId Router::PickAmong(const std::vector<NodeId>& candidates) {
   return pick.node;
 }
 
-void Router::FinishRead(Time start, bool ok) {
+void Router::FinishRead(Time start, const Status& status) {
   std::lock_guard<std::recursive_mutex> lock(mu_);
   window_.read_latency.Record(loop_->Now() - start);
-  if (ok) {
+  if (status.ok() || IsNotFound(status)) {
     ++window_.reads_ok;
-  } else {
-    ++window_.reads_failed;
+    return;
   }
+  ++window_.reads_failed;
+  if (IsDeadlineExceeded(status)) ++window_.deadline_exceeded;
 }
 
-void Router::FinishWrite(Time start, bool ok) {
+void Router::FinishWrite(Time start, const Status& status) {
   std::lock_guard<std::recursive_mutex> lock(mu_);
   window_.write_latency.Record(loop_->Now() - start);
-  if (ok) {
+  // kAborted is an answered request: the system worked, the CAS lost.
+  if (status.ok() || IsAborted(status)) {
     ++window_.writes_ok;
-  } else {
-    ++window_.writes_failed;
+    return;
   }
+  ++window_.writes_failed;
+  if (IsDeadlineExceeded(status)) ++window_.deadline_exceeded;
 }
 
 size_t Router::SubBatchLimit(NodeId target, const RequestOptions& options, Time now) const {
@@ -144,20 +147,31 @@ Status Router::TimeoutStatus(bool budget_bound, std::string_view what) {
   return UnavailableError(std::string(what) + " timeout");
 }
 
-void Router::ShedRead(Time start, std::string_view what,
-                      const std::function<void(Result<Record>)>& callback) {
-  std::lock_guard<std::recursive_mutex> lock(mu_);
-  FinishRead(start, false);
-  ++window_.deadline_exceeded;
-  callback(TimeoutStatus(/*budget_bound=*/true, what));
-}
-
-void Router::ShedWrite(Time start, std::string_view what,
-                       const std::function<void(Status)>& callback) {
-  std::lock_guard<std::recursive_mutex> lock(mu_);
-  FinishWrite(start, false);
-  ++window_.deadline_exceeded;
-  callback(TimeoutStatus(/*budget_bound=*/true, what));
+template <typename Reply, typename Serve, typename OnReply, typename OnTimeout>
+void Router::Attempt(NodeId target, int64_t request_bytes, const RequestOptions& options,
+                     const char* what, bool feeds_breaker, Serve serve, OnReply on_reply,
+                     OnTimeout on_timeout) {
+  bool budget_bound = false;
+  Duration timeout = ClampedTimeout(options, loop_->Now(), &budget_bound);
+  RunAttempt<Reply>(
+      loop_, network_, client_id_, target, request_bytes, timeout, std::move(serve),
+      [this, target, feeds_breaker, on_reply = std::move(on_reply)](Reply reply) mutable {
+        std::lock_guard<std::recursive_mutex> relock(mu_);
+        // Any reply — even an error reply — proves the node alive.
+        if (feeds_breaker && breaker_ != nullptr) breaker_->RecordSuccess(target);
+        on_reply(std::move(reply));
+      },
+      [this, target, feeds_breaker, budget_bound, what,
+       on_timeout = std::move(on_timeout)]() mutable {
+        std::lock_guard<std::recursive_mutex> relock(mu_);
+        // A full attempt timeout is transport-level evidence of death; a
+        // budget-clamped timeout is the deadline running out, which says
+        // nothing about the node.
+        if (feeds_breaker && !budget_bound && breaker_ != nullptr) {
+          breaker_->RecordFailure(target);
+        }
+        on_timeout(TimeoutStatus(budget_bound, what));
+      });
 }
 
 void Router::MaybeCacheRead(const std::string& key, Time as_of, const Result<Record>& result) {
@@ -172,12 +186,11 @@ void Router::GetAttempt(const std::string& key, std::vector<NodeId> candidates, 
   // Budget check precedes the candidate check: a retry whose budget is gone
   // sheds with the deadline error, not a synthetic unreachability error.
   if (options.Expired(loop_->Now())) {
-    ShedRead(start, "read", callback);
+    FailRead(start, TimeoutStatus(/*budget_bound=*/true, "read"), callback);
     return;
   }
   if (index >= candidates.size()) {
-    FinishRead(start, false);
-    callback(UnavailableError("all replicas unreachable"));
+    FailRead(start, UnavailableError("all replicas unreachable"), callback);
     return;
   }
   NodeId target = candidates[index];
@@ -196,57 +209,32 @@ void Router::GetAttempt(const std::string& key, std::vector<NodeId> candidates, 
                std::move(callback));
     return;
   }
-  auto state = std::make_shared<Pending>();
-  auto respond = [this, state, key, target, start, callback](Result<Record> result, Time as_of) {
-    if (!state->Claim()) return;
-    std::lock_guard<std::recursive_mutex> relock(mu_);
-    if (state->timeout_event != Executor::kInvalidTask) loop_->Cancel(state->timeout_event);
-    // Any reply — even an error reply — proves the node alive.
-    if (breaker_ != nullptr) breaker_->RecordSuccess(target);
-    // NotFound counts as a successful (answered) read.
-    bool ok = result.ok() || IsNotFound(result.status());
-    FinishRead(start, ok);
-    MaybeCacheRead(key, as_of, result);
-    callback(std::move(result));
-  };
   // Each attempt may wait at most the remaining deadline budget; the retry
-  // it hands off to then sees an expired budget and sheds. The timer is
-  // armed before the request ships: the fabric enqueue's release then makes
-  // state->timeout_event visible to the responding worker.
-  bool budget_bound = false;
-  Duration timeout = ClampedTimeout(options, loop_->Now(), &budget_bound);
-  state->timeout_event = loop_->ScheduleAfter(
-      timeout,
-      [this, state, key, candidates, index, target, budget_bound, start, options,
-       callback]() mutable {
-        if (!state->Claim()) return;
-        std::lock_guard<std::recursive_mutex> relock(mu_);
-        // A full attempt timeout is transport-level evidence of death; a
-        // budget-clamped timeout is the deadline running out, which says
-        // nothing about the node.
-        if (breaker_ != nullptr && !budget_bound) breaker_->RecordFailure(target);
+  // it hands off to then sees an expired budget and sheds.
+  int64_t request_bytes = static_cast<int64_t>(key.size()) + 4;
+  RequestPriority priority = options.priority;
+  Attempt<PointReadReply>(
+      target, request_bytes, options, "read", /*feeds_breaker=*/true,
+      [this, node, key, priority](std::function<void(PointReadReply)> respond) {
+        node->HandleGet(key, priority, [this, node, key, respond](Result<Record> result) {
+          // Snapshot the freshness watermark at serve time, not response
+          // time: a write acked while this response is on the wire must not
+          // lend the (predecessor) value a fresh staleness lease.
+          Time as_of = node->replicated_through(cluster_->partitions()->ForKey(key).id);
+          respond(PointReadReply{std::move(result), as_of});
+        });
+      },
+      [this, key, start, callback](PointReadReply reply) {
+        FinishRead(start, reply.result.status());
+        MaybeCacheRead(key, reply.as_of, reply.result);
+        callback(std::move(reply.result));
+      },
+      [this, key, candidates = std::move(candidates), index, start, options,
+       callback](const Status&) mutable {
         // Try the next replica; the attempt budget is candidates.size().
         GetAttempt(key, std::move(candidates), index + 1, start, std::move(options),
                    std::move(callback));
       });
-  NodeId self = client_id_;
-  RequestPriority priority = options.priority;
-  int64_t request_bytes = static_cast<int64_t>(key.size()) + 4;
-  network_->Send(self, target, request_bytes,
-                 [this, node, key, priority, target, self, respond]() mutable {
-    node->HandleGet(key, priority,
-                    [this, node, key, target, self, respond](Result<Record> result) mutable {
-      // Snapshot the freshness watermark at serve time, not response time:
-      // a write acked while this response is on the wire must not lend the
-      // (predecessor) value a fresh staleness lease.
-      Time as_of = node->replicated_through(cluster_->partitions()->ForKey(key).id);
-      int64_t reply_bytes = result.ok() ? WireSize(*result) : 8;
-      network_->Send(target, self, reply_bytes,
-                     [respond, as_of, result = std::move(result)]() mutable {
-        respond(std::move(result), as_of);
-      });
-    });
-  });
 }
 
 bool Router::CacheEligible(const RequestOptions& options) const {
@@ -270,7 +258,7 @@ void Router::Get(const std::string& key, RequestOptions options,
                  std::function<void(Result<Record>)> callback) {
   options.Arm(loop_->Now());
   if (options.Expired(loop_->Now())) {
-    ShedRead(loop_->Now(), "read", callback);
+    FailRead(loop_->Now(), TimeoutStatus(/*budget_bound=*/true, "read"), callback);
     return;
   }
   // Cache hot path, consulted BEFORE the router mutex: the directory's
@@ -286,7 +274,7 @@ void Router::Get(const std::string& key, RequestOptions options,
       loop_->ScheduleAfter(cache_->hit_service_time(),
                            [this, start, cached = std::move(cached),
                             callback = std::move(callback)]() mutable {
-        FinishRead(start, true);
+        FinishRead(start, Status::Ok());
         callback(std::move(cached));
       });
       return;
@@ -295,8 +283,7 @@ void Router::Get(const std::string& key, RequestOptions options,
   std::lock_guard<std::recursive_mutex> lock(mu_);
   const PartitionInfo& partition = cluster_->partitions()->ForKey(key);
   if (partition.replicas.empty()) {
-    FinishRead(loop_->Now(), false);
-    callback(UnavailableError("partition has no replicas"));
+    FailRead(loop_->Now(), UnavailableError("partition has no replicas"), callback);
     return;
   }
   std::vector<NodeId> candidates = ReadCandidates(partition, options);
@@ -323,9 +310,7 @@ void Router::FinishCoalescedRead(const std::string& key, Time start, Result<Reco
                                  Time as_of, bool store_in_cache,
                                  const std::function<void(Result<Record>)>& callback) {
   std::lock_guard<std::recursive_mutex> lock(mu_);
-  bool ok = result.ok() || IsNotFound(result.status());
-  FinishRead(start, ok);
-  if (!ok && IsDeadlineExceeded(result.status())) ++window_.deadline_exceeded;
+  FinishRead(start, result.status());
   if (store_in_cache) MaybeCacheRead(key, as_of, result);
   callback(std::move(result));
 }
@@ -335,8 +320,7 @@ void Router::RedispatchCoalesced(const std::string& key, RequestOptions options,
   std::lock_guard<std::recursive_mutex> lock(mu_);
   const PartitionInfo& partition = cluster_->partitions()->ForKey(key);
   if (partition.replicas.empty()) {
-    FinishRead(start, false);
-    callback(UnavailableError("partition has no replicas"));
+    FailRead(start, UnavailableError("partition has no replicas"), callback);
     return;
   }
   // Candidates come straight from the selector, NOT via ReadCandidates:
@@ -397,11 +381,7 @@ void Router::FinishMultiGet(const std::shared_ptr<MultiGetState>& state) {
   std::lock_guard<std::recursive_mutex> lock(mu_);
   // Every logical read in the batch is accounted individually, so the SLA
   // monitor and Director see the same read volume batched or not.
-  for (const auto& slot : state->results) {
-    bool ok = slot->ok() || IsNotFound(slot->status());
-    FinishRead(state->start, ok);
-    if (!ok && IsDeadlineExceeded(slot->status())) ++window_.deadline_exceeded;
-  }
+  for (const auto& slot : state->results) FinishRead(state->start, slot->status());
   std::vector<Result<Record>> out;
   out.reserve(state->results.size());
   for (auto& slot : state->results) out.push_back(std::move(*slot));
@@ -486,54 +466,43 @@ void Router::SendMultiGetSubBatch(const std::shared_ptr<MultiGetState>& state, N
     batch_keys.push_back(key);
     request_bytes += static_cast<int64_t>(key.size()) + 4;
   }
-  auto pending = std::make_shared<Pending>();
-  auto respond = [this, state, group](MultiGetReply reply) {
-    // Shed keys (node overload) move to their next replica candidate;
-    // answered keys resolve and populate the cache.
-    std::vector<size_t> retry;
-    for (size_t i = 0; i < group.size(); ++i) {
-      size_t fetch_id = group[i];
-      MultiGetState::Fetch& fetch = state->fetches[fetch_id];
-      if (fetch.resolved) continue;
-      Result<Record>& result = reply.results[i];
-      if (!result.ok() && result.status().code() == StatusCode::kResourceExhausted) {
-        ++fetch.next_candidate;
-        if (fetch.next_candidate >= fetch.candidates.size()) {
-          // Every candidate shed: surface the overload itself (matching
-          // single-Get semantics), not a synthetic unreachability error.
+  RequestPriority priority = state->options.priority;
+  Attempt<MultiGetReply>(
+      target, request_bytes, state->options, "multiget", /*feeds_breaker=*/true,
+      [node, priority, batch_keys = std::move(batch_keys)](
+          std::function<void(MultiGetReply)> respond) {
+        node->HandleMultiGet(batch_keys, priority, std::move(respond));
+      },
+      [this, state, group](MultiGetReply reply) {
+        // Shed keys (node overload) move to their next replica candidate;
+        // answered keys resolve and populate the cache.
+        std::vector<size_t> retry;
+        for (size_t i = 0; i < group.size(); ++i) {
+          size_t fetch_id = group[i];
+          MultiGetState::Fetch& fetch = state->fetches[fetch_id];
+          if (fetch.resolved) continue;
+          Result<Record>& result = reply.results[i];
+          if (!result.ok() && result.status().code() == StatusCode::kResourceExhausted) {
+            ++fetch.next_candidate;
+            if (fetch.next_candidate >= fetch.candidates.size()) {
+              // Every candidate shed: surface the overload itself (matching
+              // single-Get semantics), not a synthetic unreachability error.
+              state->Resolve(fetch_id, std::move(result));
+            } else {
+              retry.push_back(fetch_id);
+            }
+            continue;
+          }
+          MaybeCacheRead(fetch.key, reply.as_of[i], result);
           state->Resolve(fetch_id, std::move(result));
-        } else {
-          retry.push_back(fetch_id);
         }
-        continue;
-      }
-      MaybeCacheRead(fetch.key, reply.as_of[i], result);
-      state->Resolve(fetch_id, std::move(result));
-    }
-    if (!retry.empty()) {
-      DispatchMultiGet(state, std::move(retry));
-    } else if (state->unresolved == 0) {
-      FinishMultiGet(state);
-    }
-  };
-  auto guarded = [this, pending, target, respond = std::move(respond)](MultiGetReply reply) {
-    if (!pending->Claim()) return;
-    std::lock_guard<std::recursive_mutex> relock(mu_);
-    if (pending->timeout_event != Executor::kInvalidTask) loop_->Cancel(pending->timeout_event);
-    // Any reply proves the node alive.
-    if (breaker_ != nullptr) breaker_->RecordSuccess(target);
-    respond(std::move(reply));
-  };
-  bool budget_bound = false;
-  Duration timeout = ClampedTimeout(state->options, loop_->Now(), &budget_bound);
-  pending->timeout_event = loop_->ScheduleAfter(
-      timeout,
-      [this, state, group, target, budget_bound, pending]() {
-        if (!pending->Claim()) return;
-        std::lock_guard<std::recursive_mutex> relock(mu_);
-        // Transport-level evidence only: a budget-clamped timeout is the
-        // deadline running out, not the node's fault.
-        if (breaker_ != nullptr && !budget_bound) breaker_->RecordFailure(target);
+        if (!retry.empty()) {
+          DispatchMultiGet(state, std::move(retry));
+        } else if (state->unresolved == 0) {
+          FinishMultiGet(state);
+        }
+      },
+      [this, state, group](const Status&) {
         // The node (or the path to it) is unresponsive: move the whole
         // sub-batch to each key's next replica candidate.
         std::vector<size_t> retry;
@@ -544,27 +513,6 @@ void Router::SendMultiGetSubBatch(const std::shared_ptr<MultiGetState>& state, N
           retry.push_back(fetch_id);
         }
         if (!retry.empty()) DispatchMultiGet(state, std::move(retry));
-      });
-  NodeId self = client_id_;
-  RequestPriority priority = state->options.priority;
-  network_->Send(
-      self, target, request_bytes,
-      [this, node, target, self, priority, batch_keys = std::move(batch_keys),
-       guarded = std::move(guarded)]() mutable {
-        node->HandleMultiGet(
-            batch_keys, priority,
-            [this, target, self, guarded = std::move(guarded)](
-                MultiGetReply reply) mutable {
-              int64_t reply_bytes = 0;
-              for (const Result<Record>& r : reply.results) {
-                reply_bytes += r.ok() ? WireSize(*r) : 8;
-              }
-              network_->Send(target, self, reply_bytes,
-                             [guarded = std::move(guarded),
-                              reply = std::move(reply)]() mutable {
-                               guarded(std::move(reply));
-                             });
-            });
       });
 }
 
@@ -646,56 +594,35 @@ void Router::Scan(const std::string& start, const std::string& end, size_t limit
   Time started = loop_->Now();
   options.Arm(started);
   if (options.Expired(started)) {
-    FinishRead(started, false);
-    ++window_.deadline_exceeded;
-    callback(DeadlineExceededError("scan: deadline budget exhausted"));
+    FailRead(started, TimeoutStatus(/*budget_bound=*/true, "scan"), callback);
     return;
   }
   const PartitionInfo& partition = cluster_->partitions()->ForKey(start);
   if (!end.empty() && !(partition.end.empty() || end <= partition.end)) {
-    FinishRead(started, false);
-    callback(InvalidArgumentError("scan range spans partitions; fan out at the query layer"));
+    FailRead(started,
+             InvalidArgumentError("scan range spans partitions; fan out at the query layer"),
+             callback);
     return;
   }
   NodeId target = ChooseReadReplica(partition, options);
   StorageNode* node = cluster_->GetNode(target);
   if (node == nullptr) {
-    FinishRead(started, false);
-    callback(UnavailableError("replica not registered"));
+    FailRead(started, UnavailableError("replica not registered"), callback);
     return;
   }
-  auto state = std::make_shared<Pending>();
-  auto respond = [this, state, started, callback](Result<std::vector<Record>> result) {
-    if (!state->Claim()) return;
-    std::lock_guard<std::recursive_mutex> relock(mu_);
-    if (state->timeout_event != Executor::kInvalidTask) loop_->Cancel(state->timeout_event);
-    FinishRead(started, result.ok());
-    if (!result.ok() && IsDeadlineExceeded(result.status())) ++window_.deadline_exceeded;
+  auto finish = [this, started, callback](Result<std::vector<Record>> result) {
+    FinishRead(started, result.status());
     callback(std::move(result));
   };
-  bool budget_bound = false;
-  Duration timeout = ClampedTimeout(options, started, &budget_bound);
-  state->timeout_event =
-      loop_->ScheduleAfter(timeout, [respond, budget_bound]() mutable {
-        respond(TimeoutStatus(budget_bound, "scan"));
-      });
-  NodeId self = client_id_;
-  RequestPriority priority = options.priority;
   int64_t request_bytes = static_cast<int64_t>(start.size() + end.size()) + 16;
-  network_->Send(self, target, request_bytes,
-                 [this, node, start, end, limit, priority, target, self, respond]() mutable {
-    node->HandleScan(start, end, limit, priority,
-                     [this, target, self, respond](Result<std::vector<Record>> rows) mutable {
-                       int64_t reply_bytes = 8;
-                       if (rows.ok()) {
-                         for (const Record& row : *rows) reply_bytes += WireSize(row);
-                       }
-                       network_->Send(target, self, reply_bytes,
-                                      [respond, rows = std::move(rows)]() mutable {
-                                        respond(std::move(rows));
-                                      });
-                     });
-  });
+  RequestPriority priority = options.priority;
+  Attempt<Result<std::vector<Record>>>(
+      target, request_bytes, options, "scan", /*feeds_breaker=*/false,
+      [node, start, end, limit, priority](
+          std::function<void(Result<std::vector<Record>>)> respond) {
+        node->HandleScan(start, end, limit, priority, std::move(respond));
+      },
+      finish, [finish](Status status) { finish(std::move(status)); });
 }
 
 void Router::SendWrite(const WalRecord& record, AckMode ack, const RequestOptions& options,
@@ -717,92 +644,68 @@ void Router::SendWrite(const WalRecord& record, AckMode ack, const RequestOption
     write_coalescer_->Submit(std::move(write));
     return;
   }
-  SendWriteImpl(record, ack, options, started, /*account=*/true, std::move(callback));
+  // Shared, not copied per closure: the request and the completion both
+  // need the record's value payload.
+  auto shared = std::make_shared<const WalRecord>(record);
+  ShipWrite(shared, ack, options, SettleWrite(started, shared, std::move(callback)));
 }
 
 void Router::DispatchCoalescedWrite(const WalRecord& record, AckMode ack,
                                     const RequestOptions& options,
                                     std::function<void(Status)> callback) {
-  SendWriteImpl(record, ack, options, loop_->Now(), /*account=*/false, std::move(callback));
+  ShipWrite(std::make_shared<const WalRecord>(record), ack, options, std::move(callback));
 }
 
 void Router::FinishCoalescedWrite(Time start, const Status& status, const WalRecord& winner) {
   std::lock_guard<std::recursive_mutex> lock(mu_);
-  FinishWrite(start, status.ok());
-  if (!status.ok() && IsDeadlineExceeded(status)) ++window_.deadline_exceeded;
+  FinishWrite(start, status);
   // Cache coherence with the *winning* record: it is what the primary
   // stored, and its version is >= every member's own stamp.
-  if (cache_ != nullptr && status.ok()) {
-    if (winner.type == WalRecord::Type::kPut) {
-      cache_->OnPut(winner.key, winner.value, winner.version, loop_->Now());
-    } else {
-      cache_->OnDelete(winner.key, winner.version, loop_->Now());
-    }
+  CacheAckedWrite(status, winner);
+}
+
+std::function<void(Status)> Router::SettleWrite(Time start, std::shared_ptr<const WalRecord> record,
+                                                std::function<void(Status)> callback) {
+  return [this, start, record = std::move(record), callback = std::move(callback)](Status status) {
+    FinishWrite(start, status);
+    CacheAckedWrite(status, *record);
+    callback(std::move(status));
+  };
+}
+
+void Router::CacheAckedWrite(const Status& status, const WalRecord& record) {
+  if (cache_ == nullptr || !status.ok()) return;
+  if (record.type == WalRecord::Type::kPut) {
+    cache_->OnPut(record.key, record.value, record.version, loop_->Now());
+  } else {
+    cache_->OnDelete(record.key, record.version, loop_->Now());
   }
 }
 
-void Router::SendWriteImpl(const WalRecord& record, AckMode ack, const RequestOptions& options,
-                           Time started, bool account, std::function<void(Status)> callback) {
+void Router::ShipWrite(const std::shared_ptr<const WalRecord>& record, AckMode ack,
+                       const RequestOptions& options, std::function<void(Status)> callback) {
   std::lock_guard<std::recursive_mutex> lock(mu_);
   if (options.Expired(loop_->Now())) {
-    if (account) {
-      ShedWrite(started, "write", callback);
-    } else {
-      callback(TimeoutStatus(/*budget_bound=*/true, "write"));
-    }
+    callback(TimeoutStatus(/*budget_bound=*/true, "write"));
     return;
   }
-  const PartitionInfo& partition = cluster_->partitions()->ForKey(record.key);
+  const PartitionInfo& partition = cluster_->partitions()->ForKey(record->key);
   NodeId target = partition.primary();
   StorageNode* node = cluster_->GetNode(target);
   if (node == nullptr) {
-    if (account) FinishWrite(started, false);
     callback(UnavailableError("primary not registered"));
     return;
   }
-  auto state = std::make_shared<Pending>();
-  // Shared, not copied per closure: the record's value payload would
-  // otherwise ride in both the respond and timeout lambdas.
-  auto acked = std::make_shared<WalRecord>(record);
-  auto respond = [this, state, started, account, acked, callback](Status status) {
-    if (!state->Claim()) return;
-    std::lock_guard<std::recursive_mutex> relock(mu_);
-    if (state->timeout_event != Executor::kInvalidTask) loop_->Cancel(state->timeout_event);
-    if (account) {
-      FinishWrite(started, status.ok());
-      if (!status.ok() && IsDeadlineExceeded(status)) ++window_.deadline_exceeded;
-      // Synchronous cache coherence: the entry is refreshed/invalidated
-      // before the client learns the write committed, so no later read
-      // through this router can see the predecessor value from cache.
-      if (cache_ != nullptr && status.ok()) {
-        if (acked->type == WalRecord::Type::kPut) {
-          cache_->OnPut(acked->key, acked->value, acked->version, loop_->Now());
-        } else {
-          cache_->OnDelete(acked->key, acked->version, loop_->Now());
-        }
-      }
-    }
-    callback(std::move(status));
-  };
-  bool budget_bound = false;
-  Duration timeout = ClampedTimeout(options, started, &budget_bound);
-  state->timeout_event =
-      loop_->ScheduleAfter(timeout, [respond, budget_bound]() mutable {
-        // Writes never retry (no idempotence token).
-        respond(TimeoutStatus(budget_bound, "write"));
-      });
   PartitionId pid = partition.id;
-  NodeId self = client_id_;
   RequestPriority priority = options.priority;
-  network_->Send(self, target, WireSize(record),
-                 [this, node, pid, record, ack, priority, target, self, respond]() mutable {
-    node->HandleWrite(pid, record, ack, priority,
-                      [this, target, self, respond](Status status) mutable {
-      network_->Send(target, self, 4, [respond, status = std::move(status)]() mutable {
-        respond(std::move(status));
-      });
-    });
-  });
+  // Writes never retry (no idempotence token): a timeout completes the
+  // write with its timeout status.
+  Attempt<Status>(
+      target, WireSize(*record), options, "write", /*feeds_breaker=*/false,
+      [node, pid, record, ack, priority](std::function<void(Status)> respond) {
+        node->HandleWrite(pid, *record, ack, priority, std::move(respond));
+      },
+      callback, callback);
 }
 
 void Router::MultiWrite(std::vector<WriteOp> ops, AckMode ack, RequestOptions options,
@@ -816,45 +719,45 @@ void Router::MultiWrite(std::vector<WriteOp> ops, AckMode ack, RequestOptions op
   Time started = loop_->Now();
   options.Arm(started);
   if (options.Expired(started)) {
-    std::vector<Status> shed;
-    shed.reserve(n);
-    for (size_t i = 0; i < n; ++i) {
-      FinishWrite(started, false);
-      ++window_.deadline_exceeded;
-      shed.push_back(TimeoutStatus(/*budget_bound=*/true, "multiwrite"));
-    }
+    std::vector<Status> shed(n, TimeoutStatus(/*budget_bound=*/true, "multiwrite"));
+    for (const Status& status : shed) FinishWrite(started, status);
     callback(std::move(shed));
     return;
   }
-  Version version{loop_->Now(), client_id_};
   struct BatchState {
-    std::vector<WriteOp> ops;
+    std::vector<WalRecord> records;  // one per op, all with the batch's stamp
     std::vector<Status> statuses;
     std::map<std::string, size_t> winner_of;  // key -> winning op index
-    size_t groups_pending = 0;
+    size_t chunks_pending = 0;
     std::function<void(std::vector<Status>)> callback;
   };
   auto state = std::make_shared<BatchState>();
-  state->ops = std::move(ops);
+  Version version{loop_->Now(), client_id_};
+  state->records.resize(n);
+  for (size_t i = 0; i < n; ++i) {
+    WalRecord& record = state->records[i];
+    record.type =
+        ops[i].kind == WriteOp::Kind::kPut ? WalRecord::Type::kPut : WalRecord::Type::kDelete;
+    record.key = std::move(ops[i].key);
+    if (ops[i].kind == WriteOp::Kind::kPut) record.value = std::move(ops[i].value);
+    record.version = version;
+  }
   state->statuses.assign(n, Status::Ok());
   state->callback = std::move(callback);
   // Same-key ops coalesce to the last one: the whole batch carries one
   // version stamp, so "apply in order" degenerates to "last op wins" anyway;
   // shipping only the winner keeps that outcome instead of letting the
   // engine's newer-version rule drop the later op as superseded.
-  for (size_t i = 0; i < n; ++i) state->winner_of[state->ops[i].key] = i;
+  for (size_t i = 0; i < n; ++i) state->winner_of[state->records[i].key] = i;
 
   auto finalize = [this, state, started]() {
     // Coalesced losers inherit their winner's outcome; then every logical
     // write is accounted individually, batched or not.
-    for (size_t i = 0; i < state->ops.size(); ++i) {
-      auto it = state->winner_of.find(state->ops[i].key);
+    for (size_t i = 0; i < state->records.size(); ++i) {
+      auto it = state->winner_of.find(state->records[i].key);
       if (it->second != i) state->statuses[i] = state->statuses[it->second];
     }
-    for (const Status& status : state->statuses) {
-      FinishWrite(started, status.ok());
-      if (!status.ok() && IsDeadlineExceeded(status)) ++window_.deadline_exceeded;
-    }
+    for (const Status& status : state->statuses) FinishWrite(started, status);
     state->callback(std::move(state->statuses));
   };
 
@@ -862,11 +765,9 @@ void Router::MultiWrite(std::vector<WriteOp> ops, AckMode ack, RequestOptions op
   struct Group {
     std::vector<size_t> op_ids;
     std::vector<MultiWriteItem> items;
-    int64_t bytes = 0;
   };
   std::map<NodeId, Group> groups;
   for (const auto& [key, op_id] : state->winner_of) {
-    const WriteOp& op = state->ops[op_id];
     if (key.empty()) {
       // Per-op validation, as with single writes: one bad op must not fail
       // (or poison the engine's batch apply for) its siblings.
@@ -879,27 +780,15 @@ void Router::MultiWrite(std::vector<WriteOp> ops, AckMode ack, RequestOptions op
       state->statuses[op_id] = UnavailableError("primary not registered");
       continue;
     }
-    MultiWriteItem item;
-    item.pid = partition.id;
-    item.record.type =
-        op.kind == WriteOp::Kind::kPut ? WalRecord::Type::kPut : WalRecord::Type::kDelete;
-    item.record.key = key;
-    if (op.kind == WriteOp::Kind::kPut) item.record.value = op.value;
-    item.record.version = version;
     Group& group = groups[target];
-    group.bytes += WireSize(item.record);
     group.op_ids.push_back(op_id);
-    group.items.push_back(std::move(item));
-  }
-  if (groups.empty()) {
-    finalize();
-    return;
+    group.items.push_back(MultiWriteItem{partition.id, state->records[op_id]});
   }
 
   // Load-adaptive sizing: each primary's ops ship as sub-batches capped by
   // its load signal and the remaining deadline budget, the same rule as
   // MultiGet (SubBatchLimit). Writes do not redirect — a shed or timed-out
-  // chunk fails only its own ops.
+  // chunk fails only its own ops. Every chunk is counted before any ships.
   struct Chunk {
     NodeId target = kInvalidNode;
     std::vector<size_t> op_ids;
@@ -912,71 +801,46 @@ void Router::MultiWrite(std::vector<WriteOp> ops, AckMode ack, RequestOptions op
     size_t limit = SubBatchLimit(target, options, now);
     for (size_t offset = 0; offset < group.op_ids.size(); offset += limit) {
       size_t count = std::min(limit, group.op_ids.size() - offset);
-      Chunk chunk;
+      Chunk& chunk = chunks.emplace_back();
       chunk.target = target;
-      chunk.op_ids.reserve(count);
-      chunk.items.reserve(count);
       for (size_t i = offset; i < offset + count; ++i) {
         chunk.bytes += WireSize(group.items[i].record);
         chunk.op_ids.push_back(group.op_ids[i]);
         chunk.items.push_back(std::move(group.items[i]));
       }
-      chunks.push_back(std::move(chunk));
     }
   }
-  state->groups_pending = chunks.size();
+  state->chunks_pending = chunks.size();
+  if (chunks.empty()) {
+    finalize();
+    return;
+  }
 
-  for (auto& chunk : chunks) {
-    NodeId target = chunk.target;
-    StorageNode* node = cluster_->GetNode(target);
-    auto pending = std::make_shared<Pending>();
-    auto respond = [this, state, op_ids = chunk.op_ids, version, finalize,
-                    pending](std::vector<Status> statuses) {
-      if (!pending->Claim()) return;
-      std::lock_guard<std::recursive_mutex> relock(mu_);
-      if (pending->timeout_event != Executor::kInvalidTask) loop_->Cancel(pending->timeout_event);
+  RequestPriority priority = options.priority;
+  for (Chunk& chunk : chunks) {
+    StorageNode* node = cluster_->GetNode(chunk.target);
+    auto settle = [this, state, op_ids = chunk.op_ids, finalize](std::vector<Status> statuses) {
       for (size_t i = 0; i < op_ids.size(); ++i) {
         Status status = i < statuses.size() ? std::move(statuses[i])
                                             : InternalError("short multi-write reply");
-        const WriteOp& op = state->ops[op_ids[i]];
-        // Synchronous cache coherence, same as single writes: refresh or
-        // invalidate before the caller learns the op committed.
-        if (cache_ != nullptr && status.ok()) {
-          if (op.kind == WriteOp::Kind::kPut) {
-            cache_->OnPut(op.key, op.value, version, loop_->Now());
-          } else {
-            cache_->OnDelete(op.key, version, loop_->Now());
-          }
-        }
+        // Synchronous cache coherence, same as single writes.
+        CacheAckedWrite(status, state->records[op_ids[i]]);
         state->statuses[op_ids[i]] = std::move(status);
       }
-      if (--state->groups_pending == 0) finalize();
+      if (--state->chunks_pending == 0) finalize();
     };
-    bool budget_bound = false;
-    Duration timeout = ClampedTimeout(options, loop_->Now(), &budget_bound);
-    pending->timeout_event =
-        loop_->ScheduleAfter(timeout, [respond, budget_bound, size = chunk.op_ids.size()] {
+    Attempt<std::vector<Status>>(
+        chunk.target, chunk.bytes, options, "write", /*feeds_breaker=*/false,
+        [node, items = std::move(chunk.items), ack, priority](
+            std::function<void(std::vector<Status>)> respond) mutable {
+          node->HandleMultiWrite(std::move(items), ack, priority, std::move(respond));
+        },
+        settle,
+        [settle, size = chunk.op_ids.size()](const Status& status) {
           // Writes never retry (no idempotence token): the node's whole
           // sub-batch fails; other nodes' sub-batches are unaffected.
-          respond(std::vector<Status>(size, TimeoutStatus(budget_bound, "write")));
+          settle(std::vector<Status>(size, status));
         });
-    NodeId self = client_id_;
-    RequestPriority priority = options.priority;
-    network_->Send(self, target, chunk.bytes,
-                   [this, node, target, self, items = std::move(chunk.items), ack, priority,
-                    respond = std::move(respond)]() mutable {
-                     node->HandleMultiWrite(
-                         std::move(items), ack, priority,
-                         [this, target, self, respond = std::move(respond)](
-                             std::vector<Status> statuses) mutable {
-                           network_->Send(target, self,
-                                          static_cast<int64_t>(statuses.size()) * 4,
-                                          [respond = std::move(respond),
-                                           statuses = std::move(statuses)]() mutable {
-                                            respond(std::move(statuses));
-                                          });
-                         });
-                   });
   }
 }
 
@@ -991,20 +855,11 @@ void Router::Put(const std::string& key, const std::string& value, AckMode ack,
 void Router::PutWithVersion(const std::string& key, const std::string& value, AckMode ack,
                             RequestOptions options,
                             std::function<void(Result<Version>)> callback) {
-  options.Arm(loop_->Now());
   WalRecord record;
   record.type = WalRecord::Type::kPut;
   record.key = key;
   record.value = value;
-  record.version = Version{loop_->Now(), client_id_};
-  Version stamped = record.version;
-  SendWrite(record, ack, options, [stamped, callback = std::move(callback)](Status status) {
-    if (status.ok()) {
-      callback(stamped);
-    } else {
-      callback(std::move(status));
-    }
-  });
+  StampAndSend(std::move(record), ack, std::move(options), std::move(callback));
 }
 
 void Router::Delete(const std::string& key, AckMode ack, RequestOptions options,
@@ -1017,10 +872,15 @@ void Router::Delete(const std::string& key, AckMode ack, RequestOptions options,
 
 void Router::DeleteWithVersion(const std::string& key, AckMode ack, RequestOptions options,
                                std::function<void(Result<Version>)> callback) {
-  options.Arm(loop_->Now());
   WalRecord record;
   record.type = WalRecord::Type::kDelete;
   record.key = key;
+  StampAndSend(std::move(record), ack, std::move(options), std::move(callback));
+}
+
+void Router::StampAndSend(WalRecord record, AckMode ack, RequestOptions options,
+                          std::function<void(Result<Version>)> callback) {
+  options.Arm(loop_->Now());
   record.version = Version{loop_->Now(), client_id_};
   Version stamped = record.version;
   SendWrite(record, ack, options, [stamped, callback = std::move(callback)](Status status) {
@@ -1039,51 +899,32 @@ void Router::ConditionalPut(const std::string& key, const std::string& value,
   Time started = loop_->Now();
   options.Arm(started);
   if (options.Expired(started)) {
-    ShedWrite(started, "conditional put", callback);
+    FailWrite(started, TimeoutStatus(/*budget_bound=*/true, "conditional put"), callback);
     return;
   }
   const PartitionInfo& partition = cluster_->partitions()->ForKey(key);
   NodeId target = partition.primary();
   StorageNode* node = cluster_->GetNode(target);
   if (node == nullptr) {
-    FinishWrite(started, false);
-    callback(UnavailableError("primary not registered"));
+    FailWrite(started, UnavailableError("primary not registered"), callback);
     return;
   }
-  Version new_version{loop_->Now(), client_id_};
-  auto state = std::make_shared<Pending>();
-  auto respond = [this, state, started, key, value, new_version, callback](Status status) {
-    if (!state->Claim()) return;
-    std::lock_guard<std::recursive_mutex> relock(mu_);
-    if (state->timeout_event != Executor::kInvalidTask) loop_->Cancel(state->timeout_event);
-    // kAborted is an answered request: the system worked, the CAS lost.
-    FinishWrite(started, status.ok() || IsAborted(status));
-    if (!status.ok() && IsDeadlineExceeded(status)) ++window_.deadline_exceeded;
-    if (cache_ != nullptr && status.ok()) cache_->OnPut(key, value, new_version, loop_->Now());
-    callback(std::move(status));
-  };
-  bool budget_bound = false;
-  Duration timeout = ClampedTimeout(options, started, &budget_bound);
-  state->timeout_event =
-      loop_->ScheduleAfter(timeout, [respond, budget_bound]() mutable {
-        respond(TimeoutStatus(budget_bound, "write"));
-      });
+  auto record = std::make_shared<WalRecord>();
+  record->type = WalRecord::Type::kPut;
+  record->key = key;
+  record->value = value;
+  record->version = Version{loop_->Now(), client_id_};
+  auto settle = SettleWrite(started, record, std::move(callback));
   PartitionId pid = partition.id;
-  NodeId self = client_id_;
   RequestPriority priority = options.priority;
   int64_t request_bytes = static_cast<int64_t>(key.size() + value.size()) + 29;
-  network_->Send(self, target, request_bytes,
-                 [this, node, pid, key, value, expected, new_version, ack, priority, target,
-                  self, respond]() mutable {
-                   node->HandleConditionalPut(
-                       pid, key, value, expected, new_version, ack, priority,
-                       [this, target, self, respond](Status status) mutable {
-                         network_->Send(target, self, 4,
-                                        [respond, status = std::move(status)]() mutable {
-                                          respond(std::move(status));
-                                        });
-                       });
-                 });
+  Attempt<Status>(
+      target, request_bytes, options, "write", /*feeds_breaker=*/false,
+      [node, pid, record, expected, ack, priority](std::function<void(Status)> respond) {
+        node->HandleConditionalPut(pid, record->key, record->value, expected, record->version,
+                                   ack, priority, std::move(respond));
+      },
+      settle, settle);
 }
 
 RouterWindow Router::TakeWindow() {

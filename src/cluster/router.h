@@ -8,19 +8,22 @@
 // Thread safety: a Router may be driven from any thread on any
 // ExecutionBackend. One recursive mutex serializes all of its mutable
 // state — the window, the selector/breaker (stateful policies), and every
-// in-flight request's bookkeeping. Response and timeout continuations
-// re-acquire it when they fire (they may run on different workers under
-// ThreadedRuntime), so a request's two racing completions are resolved by
-// an atomic claim on its Pending record plus the lock. The lock is held
-// while enqueuing into the MessageFabric (fabric queues have their own
-// locks, ordered after the router's) but never across a storage node's
-// service work — deliveries run on the node's owner worker, lock-free
-// with respect to the router.
+// in-flight request's bookkeeping. Every node exchange, on every read and
+// write path, is one attempt: Router::Attempt over RunAttempt
+// (cluster/attempt.h). The timer is armed, then the request shipped, under
+// the lock. The reply and the timeout may then fire on different workers
+// in the same instant; the attempt's atomic claim lets exactly one of them
+// through, and the winner runs claim -> cancel timer (reply only) ->
+// re-take the lock -> breaker verdict (Get/MultiGet only) -> window
+// accounting and cache coherence -> callback. The lock is held while
+// enqueuing into the MessageFabric (fabric queues have their own locks,
+// ordered after the router's) but never across a storage node's service
+// work — deliveries run on the node's owner worker, lock-free with respect
+// to the router.
 
 #ifndef SCADS_CLUSTER_ROUTER_H_
 #define SCADS_CLUSTER_ROUTER_H_
 
-#include <atomic>
 #include <functional>
 #include <map>
 #include <memory>
@@ -29,6 +32,7 @@
 #include <string_view>
 #include <vector>
 
+#include "cluster/attempt.h"
 #include "cluster/circuit_breaker.h"
 #include "cluster/cluster_state.h"
 #include "cluster/node.h"
@@ -271,7 +275,7 @@ class Router {
   /// Records a read that was served from cache outside the Router (the
   /// staleness controller's hit path), so RouterWindow — the SLA monitor's
   /// and Director's view — still sees every read.
-  void CountCacheServedRead(Time start) { FinishRead(start, true); }
+  void CountCacheServedRead(Time start) { FinishRead(start, Status::Ok()); }
 
   // --- ReadCoalescer plumbing --------------------------------------------
   //
@@ -321,19 +325,17 @@ class Router {
   const RouterWindow& window() const { return window_; }
 
  private:
-  /// One in-flight attempt's completion bookkeeping. `done` is the claim:
-  /// exactly one of the response / timeout continuations wins the exchange
-  /// and runs; the loser returns without touching anything. The claim is
-  /// atomic (not lock-guarded) because the two continuations may fire on
-  /// different workers in the same instant; everything after the claim runs
-  /// under the router lock.
-  struct Pending {
-    std::atomic<bool> done{false};
-    Executor::TaskId timeout_event = Executor::kInvalidTask;
-
-    /// True exactly once, for the first claimant.
-    bool Claim() { return !done.exchange(true, std::memory_order_acq_rel); }
-  };
+  /// One attempt at `target` through RunAttempt (cluster/attempt.h), plus
+  /// the router's share of the policy: the timeout is the configured one
+  /// clamped to `options`' remaining budget, both continuations re-take
+  /// mu_, and a `feeds_breaker` attempt (the read path) reports any reply as
+  /// the node's success and a full, unclamped timeout as its failure.
+  /// `serve` is as in RunAttempt; `on_reply(Reply)` gets the reply and
+  /// `on_timeout(Status)` gets TimeoutStatus(budget_bound, what).
+  template <typename Reply, typename Serve, typename OnReply, typename OnTimeout>
+  void Attempt(NodeId target, int64_t request_bytes, const RequestOptions& options,
+               const char* what, bool feeds_breaker, Serve serve, OnReply on_reply,
+               OnTimeout on_timeout);
 
   void GetAttempt(const std::string& key, std::vector<NodeId> candidates, size_t index, Time start,
                   RequestOptions options, std::function<void(Result<Record>)> callback);
@@ -347,8 +349,8 @@ class Router {
   void DispatchMultiGet(const std::shared_ptr<MultiGetState>& state,
                         std::vector<size_t> fetch_ids);
   /// Ships one sub-batch (<= SubBatchLimit fetches, all targeting `target`)
-  /// as a single message with its own timeout; shed keys redirect via
-  /// DispatchMultiGet, which re-sizes against fresh load.
+  /// as a single attempt; shed keys redirect via DispatchMultiGet, which
+  /// re-sizes against fresh load.
   void SendMultiGetSubBatch(const std::shared_ptr<MultiGetState>& state, NodeId target,
                             std::vector<size_t> group);
 
@@ -358,14 +360,25 @@ class Router {
   /// adaptive batching is disabled.
   size_t SubBatchLimit(NodeId target, const RequestOptions& options, Time now) const;
   void FinishMultiGet(const std::shared_ptr<MultiGetState>& state);
-  void FinishRead(Time start, bool ok);
-  void FinishWrite(Time start, bool ok);
-  /// Fails a read with kDeadlineExceeded, counting the shed.
-  void ShedRead(Time start, std::string_view what,
-                const std::function<void(Result<Record>)>& callback);
-  /// Write-side twin of ShedRead (invokes `callback` synchronously).
-  void ShedWrite(Time start, std::string_view what,
-                 const std::function<void(Status)>& callback);
+
+  /// Window accounting for one logical read or write that ended with
+  /// `status`: its latency, ok or failed (an answered NotFound read and a
+  /// lost CAS's kAborted count as ok), and a kDeadlineExceeded failure also
+  /// counts in deadline_exceeded.
+  void FinishRead(Time start, const Status& status);
+  void FinishWrite(Time start, const Status& status);
+  /// Accounts a read (write) that ends without a reply and fails `callback`
+  /// with `status`.
+  template <typename Callback>
+  void FailRead(Time start, const Status& status, const Callback& callback) {
+    FinishRead(start, status);
+    callback(status);
+  }
+  template <typename Callback>
+  void FailWrite(Time start, const Status& status, const Callback& callback) {
+    FinishWrite(start, status);
+    callback(status);
+  }
 
   /// May this request be answered from the attached cache?
   bool CacheEligible(const RequestOptions& options) const;
@@ -385,13 +398,29 @@ class Router {
                                      const RequestOptions& options);
   /// Window accounting for one selector decision.
   void CountPick(const ReplicaPick& pick);
+
+  /// Arms `options`, stamps `record` with {Now(), client_id} and sends it;
+  /// the callback gets the stamped version on success.
+  void StampAndSend(WalRecord record, AckMode ack, RequestOptions options,
+                    std::function<void(Result<Version>)> callback);
+  /// An accounted single-record write: through the write coalescer when it
+  /// takes the record, else ShipWrite; either way window accounting and
+  /// cache coherence run before `callback`.
   void SendWrite(const WalRecord& record, AckMode ack, const RequestOptions& options,
                  std::function<void(Status)> callback);
-  /// The actual write dispatch. `account` gates window accounting and the
-  /// synchronous cache refresh — false for coalesced dispatches, whose
-  /// members settle both through FinishCoalescedWrite.
-  void SendWriteImpl(const WalRecord& record, AckMode ack, const RequestOptions& options,
-                     Time started, bool account, std::function<void(Status)> callback);
+  /// Ships `record` to its partition's primary, no retry; `callback` gets
+  /// the ack or the failure. No window accounting or cache update here.
+  void ShipWrite(const std::shared_ptr<const WalRecord>& record, AckMode ack,
+                 const RequestOptions& options, std::function<void(Status)> callback);
+  /// The completion of an accounted write of `record`: FinishWrite, then
+  /// CacheAckedWrite, then `callback`.
+  std::function<void(Status)> SettleWrite(Time start, std::shared_ptr<const WalRecord> record,
+                                          std::function<void(Status)> callback);
+  /// Synchronous cache coherence for a write: once `status` says it was
+  /// acked, the cache entry is refreshed (put) or invalidated (delete)
+  /// before the writer learns it committed, so no later read through this
+  /// router can see the predecessor value from cache.
+  void CacheAckedWrite(const Status& status, const WalRecord& record);
 
   /// Caches `result` if it is a live record. `as_of` is the serving node's
   /// replication watermark snapshotted when it served the read.

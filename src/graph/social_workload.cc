@@ -105,14 +105,18 @@ void SocialWorkloadDriver::Run(std::function<void()> done) {
     std::vector<int64_t> indices;
   };
   auto chain = std::make_shared<Chain>(Chain{std::move(mutations), std::move(mutation_index)});
-  // Recursive lambda via shared holder (std::function self-capture).
+  // Recursive lambda via shared holder. The step refers to itself weakly
+  // (a strong self-capture is a cycle that never frees the chain); the
+  // in-flight mutation's continuation owns it between steps.
   auto step_holder = std::make_shared<std::function<void(size_t)>>();
-  *step_holder = [this, chain, finish, step_holder](size_t i) {
+  std::weak_ptr<std::function<void(size_t)>> weak_step = step_holder;
+  *step_holder = [this, chain, finish, weak_step](size_t i) {
     if (i >= chain->ops.size()) {
       finish();
       return;
     }
     const Op& op = chain->ops[i];
+    std::shared_ptr<std::function<void(size_t)>> step_holder = weak_step.lock();
     auto next = [this, finish, step_holder, i](Status status) {
       if (status.ok()) {
         ++stats_.mutations_ok;

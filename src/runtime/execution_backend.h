@@ -18,13 +18,15 @@
 // ExecutionBackend is both at once — what a self-contained deployment
 // runs on. The two concrete backends:
 //
-//   SimBackend       (src/runtime/sim_backend.h)      deterministic,
-//                    single-threaded, virtual time. Every test/bench that
-//                    wants replayable schedules uses this (via Scads or
-//                    directly); `deterministic()` returns true.
-//   ThreadedRuntime  (src/runtime/threaded_runtime.h) real OS threads,
-//                    wall-clock time, sharded dispatch. `deterministic()`
-//                    returns false; callers may block.
+//   simulator        EventLoop (src/sim/event_loop.h) is the Executor and
+//                    SimNetwork (src/sim/network.h) the MessageFabric:
+//                    deterministic, single-threaded, virtual time. Every
+//                    test/bench that wants replayable schedules passes
+//                    this pair (via Scads or directly); `deterministic()`
+//                    returns true.
+//   ThreadedRuntime  (src/runtime/threaded_runtime.h) one ExecutionBackend:
+//                    real OS threads, wall-clock time, sharded dispatch.
+//                    `deterministic()` returns false; callers may block.
 //
 // The contract components rely on (both backends honour it):
 //

@@ -354,6 +354,152 @@ TEST(RouterTest, DeletePropagates) {
   }
 }
 
+// --------------------------------------------- per-op failure contract --
+//
+// Every Router op against a dead target: the status it surfaces, exactly-
+// once callback delivery, per-logical-op window accounting, and which ops
+// feed the circuit breaker. Each case runs on a fresh one-node cluster whose
+// only node ignores every request, so every attempt ends in its timeout.
+
+enum class RouterOp { kGet, kMultiGet, kScan, kPut, kMultiWrite, kConditionalPut };
+
+struct FailureContractCase {
+  const char* name;
+  RouterOp op;
+  bool read;
+  /// Logical ops one call carries (the batched ops issue two keys).
+  int64_t logical_ops;
+  /// The kUnavailable message at the full request_timeout.
+  const char* timeout_message;
+  /// Do this op's timeouts count against the target's breaker?
+  bool feeds_breaker;
+};
+
+const FailureContractCase kFailureContractCases[] = {
+    {"Get", RouterOp::kGet, true, 1, "all replicas unreachable", true},
+    {"MultiGet", RouterOp::kMultiGet, true, 2, "all replicas unreachable", true},
+    {"Scan", RouterOp::kScan, true, 1, "scan timeout", false},
+    {"Put", RouterOp::kPut, false, 1, "write timeout", false},
+    {"MultiWrite", RouterOp::kMultiWrite, false, 2, "write timeout", false},
+    {"ConditionalPut", RouterOp::kConditionalPut, false, 1, "write timeout", false},
+};
+
+struct OpOutcome {
+  int calls = 0;
+  std::vector<Status> statuses;  ///< One per logical op, from the last call.
+};
+
+/// Issues one `op` call and pumps the loop until its callback has fired.
+/// The returned outcome keeps counting callbacks as the loop runs on.
+std::shared_ptr<OpOutcome> RunOp(TestCluster& tc, RouterOp op, RequestOptions options) {
+  auto outcome = std::make_shared<OpOutcome>();
+  auto done = [outcome](std::vector<Status> statuses) {
+    ++outcome->calls;
+    outcome->statuses = std::move(statuses);
+  };
+  Router* router = tc.router.get();
+  switch (op) {
+    case RouterOp::kGet:
+      router->Get("a", options, [done](Result<Record> r) { done({r.status()}); });
+      break;
+    case RouterOp::kMultiGet:
+      router->MultiGet({"a", "b"}, options, [done](std::vector<Result<Record>> results) {
+        std::vector<Status> statuses;
+        for (const Result<Record>& r : results) statuses.push_back(r.status());
+        done(std::move(statuses));
+      });
+      break;
+    case RouterOp::kScan:
+      router->Scan("a", "z", 0, options,
+                   [done](Result<std::vector<Record>> r) { done({r.status()}); });
+      break;
+    case RouterOp::kPut:
+      router->Put("a", "v", AckMode::kPrimary, options, [done](Status s) { done({s}); });
+      break;
+    case RouterOp::kMultiWrite: {
+      std::vector<Router::WriteOp> ops(2);
+      ops[0].key = "a";
+      ops[0].value = "v";
+      ops[1].key = "b";
+      ops[1].value = "w";
+      router->MultiWrite(std::move(ops), AckMode::kPrimary, options,
+                         [done](std::vector<Status> statuses) { done(std::move(statuses)); });
+      break;
+    }
+    case RouterOp::kConditionalPut:
+      router->ConditionalPut("a", "v", std::nullopt, AckMode::kPrimary, options,
+                             [done](Status s) { done({s}); });
+      break;
+  }
+  for (int i = 0; i < 1000000 && outcome->calls == 0; ++i) {
+    if (!tc.loop.RunOne()) tc.loop.RunFor(kMillisecond);
+  }
+  EXPECT_EQ(outcome->calls, 1);
+  return outcome;
+}
+
+class FailureContractTest : public testing::TestWithParam<FailureContractCase> {
+ protected:
+  FailureContractTest() : tc_(1, 1) { tc_.nodes[0]->set_alive(false); }
+
+  int64_t Failed() const {
+    const RouterWindow& w = tc_.router->window();
+    return GetParam().read ? w.reads_failed : w.writes_failed;
+  }
+  int64_t Ok() const {
+    const RouterWindow& w = tc_.router->window();
+    return GetParam().read ? w.reads_ok : w.writes_ok;
+  }
+
+  TestCluster tc_;
+};
+
+TEST_P(FailureContractTest, FullTimeoutIsUnavailable) {
+  const FailureContractCase& c = GetParam();
+  auto outcome = RunOp(tc_, c.op, RequestOptions{});
+  ASSERT_EQ(outcome->statuses.size(), static_cast<size_t>(c.logical_ops));
+  for (const Status& status : outcome->statuses) {
+    EXPECT_EQ(status.code(), StatusCode::kUnavailable) << status.message();
+    EXPECT_EQ(status.message(), c.timeout_message);
+  }
+  EXPECT_EQ(Failed(), c.logical_ops);
+  EXPECT_EQ(Ok(), 0);
+  EXPECT_EQ(tc_.router->window().deadline_exceeded, 0);
+  // No late second delivery once the timeout chain has fully drained.
+  tc_.loop.RunFor(4 * tc_.router->config().request_timeout);
+  EXPECT_EQ(outcome->calls, 1);
+}
+
+TEST_P(FailureContractTest, BudgetBelowTimeoutIsDeadlineExceeded) {
+  const FailureContractCase& c = GetParam();
+  RequestOptions options;
+  options.deadline = tc_.router->config().request_timeout / 2;
+  auto outcome = RunOp(tc_, c.op, options);
+  ASSERT_EQ(outcome->statuses.size(), static_cast<size_t>(c.logical_ops));
+  for (const Status& status : outcome->statuses) {
+    EXPECT_EQ(status.code(), StatusCode::kDeadlineExceeded) << status.message();
+  }
+  EXPECT_EQ(Failed(), c.logical_ops);
+  EXPECT_EQ(tc_.router->window().deadline_exceeded, c.logical_ops);
+  tc_.loop.RunFor(4 * tc_.router->config().request_timeout);
+  EXPECT_EQ(outcome->calls, 1);
+}
+
+TEST_P(FailureContractTest, OnlyReadTimeoutsOpenTheBreaker) {
+  const FailureContractCase& c = GetParam();
+  const int threshold = tc_.router->breaker()->config().failure_threshold;
+  for (int i = 0; i < threshold; ++i) RunOp(tc_, c.op, RequestOptions{});
+  EXPECT_EQ(Failed(), threshold * c.logical_ops);
+  // Checked at the instant the last timeout fired, inside the open backoff.
+  EXPECT_EQ(tc_.router->breaker()->Healthy(0), !c.feeds_breaker);
+}
+
+INSTANTIATE_TEST_SUITE_P(RouterOps, FailureContractTest,
+                         testing::ValuesIn(kFailureContractCases),
+                         [](const testing::TestParamInfo<FailureContractCase>& info) {
+                           return std::string(info.param.name);
+                         });
+
 // ------------------------------------------------------------ Node model --
 
 TEST(NodeModelTest, LatencyGrowsWithQueueDepth) {
@@ -362,7 +508,7 @@ TEST(NodeModelTest, LatencyGrowsWithQueueDepth) {
   // Saturate: submit a burst far above per-request service time.
   int completed = 0;
   for (int i = 0; i < 100; ++i) {
-    node->HandleGet("k", [&](Result<Record>) { ++completed; });
+    node->HandleGet("k", RequestPriority::kNormal, [&](Result<Record>) { ++completed; });
   }
   // Queue delay should now be ~100 * service_time.
   EXPECT_GE(node->queue_delay(), 99 * node->config().get_service_time);
@@ -380,7 +526,7 @@ TEST(NodeModelTest, OverloadShedsRequests) {
   StorageNode* node = tc.nodes[0].get();
   int shed = 0, served = 0;
   for (int i = 0; i < 1000; ++i) {
-    node->HandleGet("k", [&](Result<Record> r) {
+    node->HandleGet("k", RequestPriority::kNormal, [&](Result<Record> r) {
       if (!r.ok() && r.status().code() == StatusCode::kResourceExhausted) {
         ++shed;
       } else {
@@ -400,7 +546,7 @@ TEST(NodeModelTest, DeadNodeIgnoresRequests) {
   StorageNode* node = tc.nodes[0].get();
   node->set_alive(false);
   bool called = false;
-  node->HandleGet("k", [&](Result<Record>) { called = true; });
+  node->HandleGet("k", RequestPriority::kNormal, [&](Result<Record>) { called = true; });
   tc.loop.RunFor(kSecond);
   EXPECT_FALSE(called);
 }

@@ -9,7 +9,6 @@
 #include "ml/forecaster.h"
 #include "ml/latency_model.h"
 #include "ml/linreg.h"
-#include "ml/quantile.h"
 
 namespace scads {
 namespace {
@@ -54,36 +53,6 @@ TEST(LinRegTest, DegenerateFeatureDoesNotExplode) {
   double prediction = model.Predict({1.0, 100.0});
   EXPECT_TRUE(std::isfinite(prediction));
   EXPECT_NEAR(model.Predict({1.0, 0.0}), 7.0, 0.01);
-}
-
-// -------------------------------------------------------------- Quantile --
-
-TEST(QuantileTest, ExactForSmallSamples) {
-  P2Quantile q(0.5);
-  q.Observe(3);
-  q.Observe(1);
-  q.Observe(2);
-  EXPECT_DOUBLE_EQ(q.Estimate(), 2.0);
-}
-
-TEST(QuantileTest, MedianOfUniform) {
-  P2Quantile q(0.5);
-  Rng rng(7);
-  for (int i = 0; i < 50000; ++i) q.Observe(rng.NextDouble());
-  EXPECT_NEAR(q.Estimate(), 0.5, 0.02);
-}
-
-TEST(QuantileTest, P99OfExponential) {
-  P2Quantile q(0.99);
-  Rng rng(11);
-  for (int i = 0; i < 100000; ++i) q.Observe(rng.Exponential(1.0));
-  // True p99 of Exp(1) = ln(100) ~ 4.605.
-  EXPECT_NEAR(q.Estimate(), 4.605, 0.5);
-}
-
-TEST(QuantileTest, EmptyIsZero) {
-  P2Quantile q(0.9);
-  EXPECT_DOUBLE_EQ(q.Estimate(), 0.0);
 }
 
 // ------------------------------------------------------------ Forecaster --

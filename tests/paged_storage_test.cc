@@ -548,7 +548,7 @@ TEST(PagedNodeTest, NodeSelectsPagedEngineAndChargesFaultLatency) {
   int64_t faults_before = paged->metrics().CounterValue("page_faults");
   Time cold_done = 0;
   Time start = loop.Now();
-  node.HandleGet(Key(7), [&](Result<Record> result) {
+  node.HandleGet(Key(7), RequestPriority::kNormal, [&](Result<Record> result) {
     ASSERT_TRUE(result.ok());
     EXPECT_EQ(result->value, ValueOf(7));
     cold_done = loop.Now();
@@ -560,7 +560,7 @@ TEST(PagedNodeTest, NodeSelectsPagedEngineAndChargesFaultLatency) {
 
   Time warm_done = 0;
   Time warm_start = loop.Now();
-  node.HandleGet(Key(7), [&](Result<Record> result) {
+  node.HandleGet(Key(7), RequestPriority::kNormal, [&](Result<Record> result) {
     ASSERT_TRUE(result.ok());
     warm_done = loop.Now();
   });

@@ -28,7 +28,6 @@
 #include "common/rng.h"
 #include "core/scads_client.h"
 #include "gtest/gtest.h"
-#include "runtime/sim_backend.h"
 #include "runtime/threaded_runtime.h"
 #include "sim/event_loop.h"
 #include "sim/network.h"
@@ -585,6 +584,98 @@ TEST(ThreadedDataPlaneTest, ConcurrentHarvestConservesPickMap) {
             static_cast<int64_t>(kThreads) * kReadsPerThread);
 }
 
+// ------------------------------------- reply/timeout races, exactly once --
+
+// All six Router ops from several client threads with the attempt timeout
+// set near the real round trip (service model off), so replies and timeouts
+// race on different workers. Whichever wins, every callback fires exactly
+// once and every logical op lands in the window exactly once.
+TEST(ThreadedDataPlaneTest, RacingRepliesAndTimeoutsCompleteExactlyOnce) {
+  NodeConfig node_config;
+  node_config.get_service_time = 0;
+  node_config.put_service_time = 0;
+  node_config.scan_service_base = 0;
+  node_config.scan_service_per_row = 0;
+  node_config.replicate_service_per_record = 0;
+  node_config.multiget_service_per_key = 0;
+  node_config.multiwrite_service_per_record = 0;
+  RouterConfig router_config;
+  router_config.request_timeout = 40;  // us
+  router_config.breaker.enabled = false;  // keep every attempt on the wire
+  ThreadedCluster tc(3, 2, node_config, router_config);
+
+  constexpr int kThreads = 4;
+  constexpr int kOpsPerThread = 240;
+  constexpr int kOps = kThreads * kOpsPerThread;
+  std::vector<std::atomic<int>> calls(kOps);
+  std::atomic<int> completed{0};
+  std::atomic<int64_t> logical_reads{0};
+  std::atomic<int64_t> logical_writes{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      Router* router = tc.router.get();
+      for (int i = 0; i < kOpsPerThread; ++i) {
+        int op = t * kOpsPerThread + i;
+        auto done = [&calls, &completed, op] {
+          calls[op].fetch_add(1, std::memory_order_relaxed);
+          completed.fetch_add(1, std::memory_order_release);
+        };
+        std::string key = Key(t, i % 16);
+        switch (i % 6) {
+          case 0:
+            logical_reads.fetch_add(1);
+            router->Get(key, RequestOptions{}, [done](Result<Record>) { done(); });
+            break;
+          case 1:
+            logical_reads.fetch_add(3);
+            router->MultiGet({key, Key(t, i % 16 + 1), key}, RequestOptions{},
+                             [done](std::vector<Result<Record>>) { done(); });
+            break;
+          case 2:
+            logical_reads.fetch_add(1);
+            router->Scan(key, "", 4, RequestOptions{},
+                         [done](Result<std::vector<Record>>) { done(); });
+            break;
+          case 3:
+            logical_writes.fetch_add(1);
+            router->Put(key, "v" + std::to_string(i), AckMode::kPrimary, RequestOptions{},
+                        [done](Status) { done(); });
+            break;
+          case 4: {
+            std::vector<Router::WriteOp> ops(2);
+            ops[0].key = key;
+            ops[0].value = "m" + std::to_string(i);
+            ops[1].kind = Router::WriteOp::Kind::kDelete;
+            ops[1].key = Key(t, i % 16 + 1);
+            logical_writes.fetch_add(2);
+            router->MultiWrite(std::move(ops), AckMode::kPrimary, RequestOptions{},
+                               [done](std::vector<Status>) { done(); });
+            break;
+          }
+          case 5:
+            logical_writes.fetch_add(1);
+            router->ConditionalPut(key, "c" + std::to_string(i), std::nullopt, AckMode::kPrimary,
+                                   RequestOptions{}, [done](Status) { done(); });
+            break;
+        }
+      }
+    });
+  }
+  for (auto& t : threads) t.join();
+  for (int i = 0; i < 10000 && completed.load(std::memory_order_acquire) < kOps; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  // Let any losing continuation (late reply or timer) run before checking.
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  ASSERT_EQ(completed.load(), kOps);
+  for (int op = 0; op < kOps; ++op) EXPECT_EQ(calls[op].load(), 1) << "op " << op;
+
+  RouterWindow window = tc.router->TakeWindow();
+  EXPECT_EQ(window.reads_ok + window.reads_failed, logical_reads.load());
+  EXPECT_EQ(window.writes_ok + window.writes_failed, logical_writes.load());
+}
+
 // ------------------------------------------- backend equivalence check --
 
 // The same logical workload lands the same final state on both backends.
@@ -605,12 +696,11 @@ TEST(BackendEquivalenceTest, AckedStateMatchesAcrossBackends) {
   // Sim: pump the loop around each async call.
   EventLoop loop;
   SimNetwork network(&loop, 7, NetworkConfig{});
-  SimBackend sim(&loop, &network);
   ClusterState sim_cluster;
   std::vector<std::unique_ptr<StorageNode>> sim_nodes;
   std::vector<NodeId> ids;
   for (int i = 0; i < 3; ++i) {
-    auto node = std::make_unique<StorageNode>(i, &sim, &sim, &sim_cluster, NodeConfig{},
+    auto node = std::make_unique<StorageNode>(i, &loop, &network, &sim_cluster, NodeConfig{},
                                               1000 + static_cast<uint64_t>(i));
     ASSERT_TRUE(sim_cluster.AddNode(i, node.get()).ok());
     node->Start();
@@ -620,7 +710,7 @@ TEST(BackendEquivalenceTest, AckedStateMatchesAcrossBackends) {
   auto map = PartitionMap::CreateUniform(12, ids, 2);
   ASSERT_TRUE(map.ok());
   sim_cluster.set_partitions(std::move(map).value());
-  Router sim_router(kClient, &sim, &sim, &sim_cluster, RouterConfig{}, 99);
+  Router sim_router(kClient, &loop, &network, &sim_cluster, RouterConfig{}, 99);
 
   // The blocking helpers refuse on the deterministic backend...
   ScadsClient sim_client(&sim_router);
