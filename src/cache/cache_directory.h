@@ -54,6 +54,8 @@ class CacheDirectory {
   bool enabled() const { return config_.enabled; }
   bool scan_caching() const { return config_.enabled && config_.cache_scan_results; }
   Duration bound() const { return bound_; }
+  /// Modelled cost of a hit: zero on a real-threads backend serves it
+  /// inline on the caller's thread; the simulator always posts.
   Duration hit_service_time() const { return config_.hit_service_time; }
   const CacheConfig& config() const { return config_; }
 

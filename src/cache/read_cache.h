@@ -65,8 +65,10 @@ struct CacheConfig {
   /// Cache bounded index-scan results in the query executor.
   bool cache_scan_results = true;
   size_t scan_capacity_bytes = 4u << 20;
-  /// Simulated local service time for serving a hit (hash probe + copy);
-  /// keeps cache-served latency nonzero and honest in experiments.
+  /// Modelled local service time for serving a hit (hash probe + copy);
+  /// keeps cache-served latency nonzero and honest in simulated
+  /// experiments. 0 on a real-threads backend completes the hit inline on
+  /// the caller's thread; the simulator always posts (RunAfterModelled).
   Duration hit_service_time = 5;  // microseconds
 };
 

@@ -201,7 +201,7 @@ void StorageNode::HandleGet(const std::string& key, RequestPriority priority,
     respond(ResourceExhaustedError("node overloaded"));
     return;
   }
-  loop_->ScheduleAfter(*sojourn, [this, key, respond = std::move(respond)] {
+  RunAfterModelled(loop_, *sojourn, [this, key, respond = std::move(respond)] {
     if (!alive_) return;
     Result<Record> result = engine_->Get(key);
     // Page faults delay the response by the disk latency they accrued; the
@@ -239,7 +239,7 @@ void StorageNode::HandleMultiGet(const std::vector<std::string>& keys,
     respond(std::move(reply));
     return;
   }
-  loop_->ScheduleAfter(*sojourn, [this, keys, respond = std::move(respond)] {
+  RunAfterModelled(loop_, *sojourn, [this, keys, respond = std::move(respond)] {
     if (!alive_) return;
     MultiGetReply reply;
     reply.results = engine_->MultiGet(keys);
@@ -280,8 +280,8 @@ void StorageNode::HandleMultiWrite(std::vector<MultiWriteItem> items, AckMode ac
     respond(std::vector<Status>(items.size(), ResourceExhaustedError("node overloaded")));
     return;
   }
-  loop_->ScheduleAfter(*sojourn, [this, items = std::move(items), ack,
-                                  respond = std::move(respond)]() mutable {
+  RunAfterModelled(loop_, *sojourn, [this, items = std::move(items), ack,
+                                    respond = std::move(respond)]() mutable {
     if (!alive_) return;
     stats_.ops_completed += static_cast<int64_t>(items.size());
     // Group commit: log and apply the whole batch before any replication or
@@ -330,7 +330,7 @@ void StorageNode::HandleScan(const std::string& start, const std::string& end, s
     respond(ResourceExhaustedError("node overloaded"));
     return;
   }
-  loop_->ScheduleAfter(*sojourn, [this, start, end, limit, respond = std::move(respond)] {
+  RunAfterModelled(loop_, *sojourn, [this, start, end, limit, respond = std::move(respond)] {
     if (!alive_) return;
     Result<std::vector<Record>> rows = engine_->Scan(start, end, limit);
     Duration row_cost = 0;
@@ -340,8 +340,8 @@ void StorageNode::HandleScan(const std::string& start, const std::string& end, s
     }
     // Pages faulted while scanning delay the response like row cost does.
     row_cost += ChargeEngineIo();
-    loop_->ScheduleAfter(row_cost, [this, rows = std::move(rows),
-                                    respond = std::move(respond)]() mutable {
+    RunAfterModelled(loop_, row_cost, [this, rows = std::move(rows),
+                                      respond = std::move(respond)]() mutable {
       if (!alive_) return;
       ++stats_.ops_completed;
       respond(std::move(rows));
@@ -389,7 +389,7 @@ void StorageNode::HandleWrite(PartitionId pid, const WalRecord& record, AckMode 
     respond(ResourceExhaustedError("node overloaded"));
     return;
   }
-  loop_->ScheduleAfter(*sojourn, [this, pid, record, ack, respond = std::move(respond)] {
+  RunAfterModelled(loop_, *sojourn, [this, pid, record, ack, respond = std::move(respond)] {
     if (!alive_) return;
     ++stats_.ops_completed;
     ApplyAndReplicate(pid, record, ack, respond);
@@ -407,8 +407,8 @@ void StorageNode::HandleConditionalPut(PartitionId pid, const std::string& key,
     respond(ResourceExhaustedError("node overloaded"));
     return;
   }
-  loop_->ScheduleAfter(*sojourn, [this, pid, key, value, expected, new_version, ack,
-                                  respond = std::move(respond)] {
+  RunAfterModelled(loop_, *sojourn, [this, pid, key, value, expected, new_version, ack,
+                                    respond = std::move(respond)] {
     if (!alive_) return;
     ++stats_.ops_completed;
     // The primary serializes all writers of this partition, so read-check-
@@ -573,8 +573,8 @@ void StorageNode::HandleReplicate(PartitionId pid, NodeId from, uint64_t first_s
   std::optional<Duration> sojourn =
       Admit(service, RequestPriority::kNormal, /*client=*/false);
   if (!sojourn.has_value()) return;  // shed; primary will retransmit
-  loop_->ScheduleAfter(*sojourn, [this, pid, from, first_seq, records = std::move(records),
-                                  watermark] {
+  RunAfterModelled(loop_, *sojourn, [this, pid, from, first_seq, records = std::move(records),
+                                    watermark] {
     if (!alive_) return;
     uint64_t& applied = last_applied_seq_[{pid, from}];
     uint64_t seq = first_seq;
@@ -667,7 +667,7 @@ void StorageNode::HandleDeltaSyncRequest(PartitionId pid, NodeId from, Time sinc
   std::optional<Duration> sojourn =
       Admit(config_.scan_service_base, RequestPriority::kNormal, /*client=*/false);
   if (!sojourn.has_value()) return;  // overloaded; the recovering node still has the streams
-  loop_->ScheduleAfter(*sojourn, [this, pid, from, since, requester] {
+  RunAfterModelled(loop_, *sojourn, [this, pid, from, since, requester] {
     if (!alive_) return;
     const PartitionInfo* partition = cluster_->partitions()->Get(pid);
     if (partition == nullptr || partition->primary() != id_) return;
@@ -719,7 +719,7 @@ void StorageNode::HandleDeltaSyncResponse(PartitionId pid, NodeId from,
   std::optional<Duration> sojourn =
       Admit(service, RequestPriority::kNormal, /*client=*/false);
   if (!sojourn.has_value()) return;  // shed; the streams still converge eventually
-  loop_->ScheduleAfter(*sojourn, [this, pid, records = std::move(records), watermark] {
+  RunAfterModelled(loop_, *sojourn, [this, pid, records = std::move(records), watermark] {
     if (!alive_) return;
     for (const WalRecord& record : records) {
       (void)engine_->Apply(record);

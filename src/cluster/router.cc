@@ -266,14 +266,16 @@ void Router::Get(const std::string& key, RequestOptions options,
   // thread never contends with this router's in-flight completion claims.
   // Entries are served fresh under the *request's* effective staleness
   // bound (and at or above its session version floor) without touching a
-  // storage node; misses fall through to the locked path unchanged.
+  // storage node; misses fall through to the locked path unchanged. A
+  // zero-cost hit on a real-threads backend completes right here, on the
+  // caller's thread, with no lock held by the time the callback runs.
   if (CacheEligible(options)) {
     Record cached;
     if (cache_->LookupPoint(key, loop_->Now(), options, &cached)) {
       Time start = loop_->Now();
-      loop_->ScheduleAfter(cache_->hit_service_time(),
-                           [this, start, cached = std::move(cached),
-                            callback = std::move(callback)]() mutable {
+      RunAfterModelled(loop_, cache_->hit_service_time(),
+                       [this, start, cached = std::move(cached),
+                        callback = std::move(callback)]() mutable {
         FinishRead(start, Status::Ok());
         callback(std::move(cached));
       });
@@ -573,8 +575,9 @@ void Router::MultiGet(const std::vector<std::string>& keys, RequestOptions optio
   if (state->unresolved == 0) {
     // Every unique key was a cache hit (misses — even unroutable ones —
     // become fetches): charge one cache service interval, like the
-    // point-read hit path.
-    loop_->ScheduleAfter(cache_->hit_service_time(), [this, state] { FinishMultiGet(state); });
+    // point-read hit path (inline when it is zero on real threads).
+    RunAfterModelled(loop_, cache_->hit_service_time(),
+                     [this, state] { FinishMultiGet(state); });
     return;
   }
   // Pass 2, under the router mutex: each miss's replica candidate list from

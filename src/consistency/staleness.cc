@@ -41,9 +41,9 @@ void StalenessController::Get(const std::string& key, RequestOptions options,
     Time start = loop_->Now();
     if (cache_->LookupPoint(key, start, options, &cached)) {
       ++stats_.cache_hits;
-      loop_->ScheduleAfter(cache_->hit_service_time(),
-                           [this, start, cached = std::move(cached),
-                            callback = std::move(callback)]() mutable {
+      RunAfterModelled(loop_, cache_->hit_service_time(),
+                       [this, start, cached = std::move(cached),
+                        callback = std::move(callback)]() mutable {
         // Keep the SLA window complete: cache-served reads count too.
         router_->CountCacheServedRead(start);
         callback(std::move(cached));

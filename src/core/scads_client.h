@@ -157,7 +157,9 @@ class ScadsClient {
   }
 
   /// One-shot rendezvous: start the async op, sleep until its callback
-  /// lands the value. The callback may run on any worker.
+  /// lands the value. The callback may run on any worker, or inline on
+  /// this thread before `start` returns (a zero-cost cache hit); the value
+  /// is then already set and the wait returns at once.
   template <typename T>
   T Await(const std::function<void(std::function<void(T)>)>& start) const {
     struct Rendezvous {

@@ -19,10 +19,10 @@ void QueryExecutor::ScanPrefix(const std::string& prefix, size_t limit,
       options.read_mode != ReadMode::kPrimaryOnly) {
     auto cached = std::make_shared<std::vector<Record>>();
     if (cache_->LookupScan(prefix, limit, loop_->Now(), options, cached.get())) {
-      loop_->ScheduleAfter(cache_->hit_service_time(),
-                           [cached, callback = std::move(callback)]() mutable {
-                             callback(std::move(*cached));
-                           });
+      RunAfterModelled(loop_, cache_->hit_service_time(),
+                       [cached, callback = std::move(callback)]() mutable {
+                         callback(std::move(*cached));
+                       });
       return;
     }
     // The result's freshness lease starts when the scan is issued: by

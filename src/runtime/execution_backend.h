@@ -39,12 +39,17 @@
 //  * Send() never invokes `deliver` synchronously.
 //  * Executor::Cancel is safe to race with the task firing; one of the
 //    two wins.
+//
+// Modelled delays (node service times, the cache's hit cost) go through
+// RunAfterModelled below, which has one rule: zero modelled delay on a
+// real-threads backend runs inline; the simulator always posts.
 
 #ifndef SCADS_RUNTIME_EXECUTION_BACKEND_H_
 #define SCADS_RUNTIME_EXECUTION_BACKEND_H_
 
 #include <cstdint>
 #include <functional>
+#include <utility>
 
 #include "common/clock.h"
 #include "common/types.h"
@@ -88,6 +93,22 @@ class Executor {
   /// progress; pump the loop instead.
   virtual bool deterministic() const = 0;
 };
+
+/// Runs `fn` after a *modelled* delay: a service time or cache-hit cost
+/// charged by the data plane, not a protocol timer. The one rule: zero
+/// modelled delay on a real-threads backend runs `fn` inline, on the
+/// calling thread, before this returns; the simulator always posts, so its
+/// schedules and digests do not depend on a cost happening to be 0.
+/// Nonzero delays always post. ScheduleAfter itself still never runs
+/// synchronously.
+template <typename F>
+void RunAfterModelled(Executor* loop, Duration delay, F&& fn) {
+  if (delay <= 0 && !loop->deterministic()) {
+    fn();
+    return;
+  }
+  loop->ScheduleAfter(delay, std::forward<F>(fn));
+}
 
 /// Message-passing surface of a backend: deliver a closure "at" a NodeId.
 /// Implementations decide latency, loss, and which thread runs it; the

@@ -18,6 +18,12 @@
 //    timeouts) round-robin across workers; anything those timers touch
 //    (Router request state) carries its own lock.
 //
+// Service-completion callbacks follow RunAfterModelled's rule
+// (execution_backend.h): a zero modelled delay runs inline, so a node
+// request with no service time completes inside its own delivery on the
+// owner worker, and a zero-cost cache hit completes on the calling client
+// thread with no post at all. Only nonzero modelled delays become timers.
+//
 // Time is monotonic wall-clock microseconds (WallClock); deterministic()
 // is false. Send() enqueues immediately — there is no simulated latency,
 // loss, or partition model; chaos experiments stay on the simulator

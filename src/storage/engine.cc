@@ -8,6 +8,20 @@ namespace scads {
 StorageEngine::StorageEngine(EngineOptions options)
     : options_(options), table_(options.seed) {}
 
+StorageEngine::Counters::Counters(MetricRegistry* m)
+    : puts(m->GetCounter("puts")),
+      puts_superseded(m->GetCounter("puts_superseded")),
+      deletes(m->GetCounter("deletes")),
+      deletes_superseded(m->GetCounter("deletes_superseded")),
+      gets(m->GetCounter("gets")),
+      get_misses(m->GetCounter("get_misses")),
+      multigets(m->GetCounter("multigets")),
+      scans(m->GetCounter("scans")),
+      scan_rows(m->GetCounter("scan_rows")),
+      wal_appends(m->GetCounter("wal_appends")),
+      wal_batch_syncs(m->GetCounter("wal_batch_syncs")),
+      bytes_resident(m->GetCounter("bytes_resident")) {}
+
 Result<bool> StorageEngine::Write(std::string_view key, std::string_view value, Version version,
                                   bool tombstone) {
   if (key.empty()) return InvalidArgumentError("empty key");
@@ -20,7 +34,7 @@ Result<bool> StorageEngine::Write(std::string_view key, std::string_view value, 
     record.version = version;
     WalWriter writer(options_.wal);
     SCADS_RETURN_IF_ERROR(writer.Append(record));
-    metrics_.GetCounter("wal_appends")->Increment();
+    counters_.wal_appends->Increment();
     if (options_.wal_sync_every_write) SCADS_RETURN_IF_ERROR(writer.Sync());
   }
   return ApplyToTable(key, value, version, tombstone);
@@ -31,7 +45,7 @@ Result<bool> StorageEngine::ApplyToTable(std::string_view key, std::string_view 
   bool created = false;
   SkipList::Payload* payload = table_.FindOrCreate(key, &created);
   if (!created && !(version > payload->version)) {
-    metrics_.GetCounter(tombstone ? "deletes_superseded" : "puts_superseded")->Increment();
+    (tombstone ? counters_.deletes_superseded : counters_.puts_superseded)->Increment();
     return false;
   }
   bool was_live = !created && !payload->tombstone;
@@ -44,14 +58,13 @@ Result<bool> StorageEngine::ApplyToTable(std::string_view key, std::string_view 
   }
   payload->version = version;
   payload->tombstone = tombstone;
-  metrics_.GetCounter(tombstone ? "deletes" : "puts")->Increment();
+  (tombstone ? counters_.deletes : counters_.puts)->Increment();
   SyncResidentMetric();
   return true;
 }
 
 void StorageEngine::SyncResidentMetric() const {
-  Counter* counter = metrics_.GetCounter("bytes_resident");
-  counter->Increment(bytes_resident() - counter->value());
+  counters_.bytes_resident->Increment(bytes_resident() - counters_.bytes_resident->value());
 }
 
 Result<bool> StorageEngine::Put(std::string_view key, std::string_view value, Version version) {
@@ -63,10 +76,10 @@ Result<bool> StorageEngine::Delete(std::string_view key, Version version) {
 }
 
 Result<Record> StorageEngine::Get(std::string_view key) const {
-  metrics_.GetCounter("gets")->Increment();
+  counters_.gets->Increment();
   const SkipList::Payload* payload = table_.Find(key);
   if (payload == nullptr || payload->tombstone) {
-    metrics_.GetCounter("get_misses")->Increment();
+    counters_.get_misses->Increment();
     return NotFoundError(std::string(key));
   }
   Record record;
@@ -77,8 +90,8 @@ Result<Record> StorageEngine::Get(std::string_view key) const {
 }
 
 std::vector<Result<Record>> StorageEngine::MultiGet(const std::vector<std::string>& keys) const {
-  metrics_.GetCounter("multigets")->Increment();
-  metrics_.GetCounter("gets")->Increment(static_cast<int64_t>(keys.size()));
+  counters_.multigets->Increment();
+  counters_.gets->Increment(static_cast<int64_t>(keys.size()));
   // Probe in sorted order through one iterator so adjacent keys reuse the
   // traversal position; results land back in input slots (duplicates each
   // get a copy).
@@ -95,12 +108,12 @@ std::vector<Result<Record>> StorageEngine::MultiGet(const std::vector<std::strin
       out[slot] = out[order[rank - 1]];
       // Duplicates share the probe but count as logical reads, so the
       // gets/get_misses ratio matches the equivalent Get sequence.
-      if (!out[slot].ok()) metrics_.GetCounter("get_misses")->Increment();
+      if (!out[slot].ok()) counters_.get_misses->Increment();
       continue;
     }
     it.SeekForward(key);
     if (!it.Valid() || it.key() != key || it.payload().tombstone) {
-      metrics_.GetCounter("get_misses")->Increment();
+      counters_.get_misses->Increment();
       out[slot] = NotFoundError(key);
       continue;
     }
@@ -127,7 +140,7 @@ std::optional<Record> StorageEngine::GetRaw(std::string_view key) const {
 Result<std::vector<Record>> StorageEngine::Scan(std::string_view start, std::string_view end,
                                                 size_t limit) const {
   if (!end.empty() && start > end) return InvalidArgumentError("scan start > end");
-  metrics_.GetCounter("scans")->Increment();
+  counters_.scans->Increment();
   std::vector<Record> out;
   SkipList::Iterator it(&table_);
   it.Seek(start);
@@ -144,7 +157,7 @@ Result<std::vector<Record>> StorageEngine::Scan(std::string_view start, std::str
     }
     it.Next();
   }
-  metrics_.GetCounter("scan_rows")->Increment(static_cast<int64_t>(out.size()));
+  counters_.scan_rows->Increment(static_cast<int64_t>(out.size()));
   return out;
 }
 
@@ -185,10 +198,10 @@ Status StorageEngine::ApplyBatch(const std::vector<WalRecord>& records) {
   if (options_.wal != nullptr) {
     WalWriter writer(options_.wal);
     SCADS_RETURN_IF_ERROR(writer.AppendBatch(records));
-    metrics_.GetCounter("wal_appends")->Increment(static_cast<int64_t>(records.size()));
+    counters_.wal_appends->Increment(static_cast<int64_t>(records.size()));
     if (options_.wal_sync_every_write) {
       SCADS_RETURN_IF_ERROR(writer.Sync());
-      metrics_.GetCounter("wal_batch_syncs")->Increment();
+      counters_.wal_batch_syncs->Increment();
     }
   }
   for (const WalRecord& record : records) {

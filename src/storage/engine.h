@@ -221,6 +221,12 @@ class StorageEngine : public EngineInterface {
   // Read paths (logically const) still count: counters are observability,
   // not state, so the registry is mutable rather than const_cast at use.
   mutable MetricRegistry metrics_;
+  /// Handles resolved once: a by-name lookup is a locked map probe per op.
+  struct Counters {
+    explicit Counters(MetricRegistry* m);
+    Counter *puts, *puts_superseded, *deletes, *deletes_superseded, *gets, *get_misses,
+        *multigets, *scans, *scan_rows, *wal_appends, *wal_batch_syncs, *bytes_resident;
+  } counters_{&metrics_};
   size_t live_count_ = 0;
 };
 

@@ -31,6 +31,29 @@ PagedEngine::PagedEngine(Executor* loop, PagedEngineOptions options)
                                               [this] { WriteBackTick(); });
 }
 
+PagedEngine::Counters::Counters(MetricRegistry* m)
+    : puts(m->GetCounter("puts")),
+      puts_superseded(m->GetCounter("puts_superseded")),
+      deletes(m->GetCounter("deletes")),
+      deletes_superseded(m->GetCounter("deletes_superseded")),
+      gets(m->GetCounter("gets")),
+      get_misses(m->GetCounter("get_misses")),
+      multigets(m->GetCounter("multigets")),
+      scans(m->GetCounter("scans")),
+      scan_rows(m->GetCounter("scan_rows")),
+      wal_appends(m->GetCounter("wal_appends")),
+      wal_batch_syncs(m->GetCounter("wal_batch_syncs")),
+      bytes_resident(m->GetCounter("bytes_resident")),
+      page_faults(m->GetCounter("page_faults")),
+      page_splits(m->GetCounter("page_splits")),
+      pages_prefetched(m->GetCounter("pages_prefetched")),
+      prefetch_skips(m->GetCounter("prefetch_skips")),
+      pages_written_back(m->GetCounter("pages_written_back")),
+      forced_writebacks(m->GetCounter("forced_writebacks")),
+      pool_evictions(m->GetCounter("pool_evictions")),
+      budget_overruns(m->GetCounter("budget_overruns")),
+      spills(m->GetCounter("spills")) {}
+
 PagedEngine::~PagedEngine() {
   if (write_back_event_ != Executor::kInvalidTask) loop_->Cancel(write_back_event_);
 }
@@ -105,7 +128,7 @@ PageFrame* PagedEngine::Fault(const PageSpan& span) const {
     // Only a real durable image costs a disk read; faulting a page that was
     // never written back is pure bookkeeping.
     accrued_io_ += options_.config.page_read_latency;
-    metrics_.GetCounter("page_faults")->Increment();
+    counters_.page_faults->Increment();
   }
   return frame;
 }
@@ -120,7 +143,7 @@ void PagedEngine::Prefetch(const PageSpan& span) const {
   PageFrame decoded;
   if (!DecodePage(bytes, page_bounds_.at(span.id), span.upper, &decoded)) return;
   if (!TryReserveClean(decoded.bytes)) {
-    metrics_.GetCounter("prefetch_skips")->Increment();
+    counters_.prefetch_skips->Increment();
     return;
   }
   PageFrame* frame = pool_.Insert(span.id);
@@ -130,7 +153,7 @@ void PagedEngine::Prefetch(const PageSpan& span) const {
   auto durable = durable_epoch_.find(span.id);
   if (durable != durable_epoch_.end()) frame->dirty_epoch = durable->second;
   pool_.AdjustBytes(frame, static_cast<int64_t>(decoded.bytes));
-  metrics_.GetCounter("pages_prefetched")->Increment();
+  counters_.pages_prefetched->Increment();
 }
 
 bool PagedEngine::TryReserveClean(size_t incoming) const {
@@ -138,7 +161,7 @@ bool PagedEngine::TryReserveClean(size_t incoming) const {
     PageFrame* victim = pool_.PickVictim(/*allow_dirty=*/false);
     if (victim == nullptr) return false;
     pool_.Erase(victim->id);
-    metrics_.GetCounter("pool_evictions")->Increment();
+    counters_.pool_evictions->Increment();
   }
   return true;
 }
@@ -158,12 +181,12 @@ void PagedEngine::EnsureBudget(size_t incoming) const {
     if (victim == nullptr) {
       // Everything is pinned (a huge spill merge can do this transiently);
       // run over budget rather than deadlock, and record it.
-      metrics_.GetCounter("budget_overruns")->Increment();
+      counters_.budget_overruns->Increment();
       break;
     }
     if (victim->dirty) WriteBackNow(victim);
     pool_.Erase(victim->id);
-    metrics_.GetCounter("pool_evictions")->Increment();
+    counters_.pool_evictions->Increment();
   }
 }
 
@@ -190,8 +213,8 @@ void PagedEngine::WriteBackNow(PageFrame* frame) const {
   frame->dirty = false;
   --dirty_pages_;
   accrued_io_ += options_.config.page_write_latency;
-  metrics_.GetCounter("forced_writebacks")->Increment();
-  metrics_.GetCounter("pages_written_back")->Increment();
+  counters_.forced_writebacks->Increment();
+  counters_.pages_written_back->Increment();
 }
 
 void PagedEngine::WriteBackTick() {
@@ -232,7 +255,7 @@ void PagedEngine::CompleteWriteBack(PageId id, uint64_t epoch, std::string bytes
     file_->Write(id, std::move(bytes));
     durable_epoch_[id] = epoch;
   }
-  metrics_.GetCounter("pages_written_back")->Increment();
+  counters_.pages_written_back->Increment();
   PageFrame* frame = pool_.Peek(id);
   if (frame == nullptr || !frame->dirty) return;
   if (frame->dirty_epoch == epoch) {
@@ -272,7 +295,7 @@ Result<bool> PagedEngine::WriteImpl(std::string_view key, std::string_view value
     record.version = version;
     WalWriter writer(options_.wal);
     SCADS_RETURN_IF_ERROR(writer.Append(record));
-    metrics_.GetCounter("wal_appends")->Increment();
+    counters_.wal_appends->Increment();
     if (options_.wal_sync_every_write) SCADS_RETURN_IF_ERROR(writer.Sync());
   }
   return ApplyVersioned(key, value, version, tombstone);
@@ -300,7 +323,7 @@ Result<bool> PagedEngine::ApplyVersioned(std::string_view key, std::string_view 
     }
   }
   if (exists && !(version > current)) {
-    metrics_.GetCounter(tombstone ? "deletes_superseded" : "puts_superseded")->Increment();
+    (tombstone ? counters_.deletes_superseded : counters_.puts_superseded)->Increment();
     return false;
   }
   SkipList::Payload* payload = in_mem;
@@ -317,7 +340,7 @@ Result<bool> PagedEngine::ApplyVersioned(std::string_view key, std::string_view 
   } else if (!was_live) {
     ++live_count_;
   }
-  metrics_.GetCounter(tombstone ? "deletes" : "puts")->Increment();
+  (tombstone ? counters_.deletes : counters_.puts)->Increment();
   if (mem_->memory_usage() > options_.config.memtable_spill_bytes) SpillMemtable();
   SyncResidentMetric();
   return true;
@@ -342,15 +365,15 @@ Result<Record> PagedEngine::Lookup(std::string_view key) const {
 }
 
 Result<Record> PagedEngine::Get(std::string_view key) const {
-  metrics_.GetCounter("gets")->Increment();
+  counters_.gets->Increment();
   Result<Record> result = Lookup(key);
-  if (!result.ok()) metrics_.GetCounter("get_misses")->Increment();
+  if (!result.ok()) counters_.get_misses->Increment();
   return result;
 }
 
 std::vector<Result<Record>> PagedEngine::MultiGet(const std::vector<std::string>& keys) const {
-  metrics_.GetCounter("multigets")->Increment();
-  metrics_.GetCounter("gets")->Increment(static_cast<int64_t>(keys.size()));
+  counters_.multigets->Increment();
+  counters_.gets->Increment(static_cast<int64_t>(keys.size()));
   // Probe in sorted order so keys covered by the same page share one fault;
   // duplicates copy the previous slot but still count as logical reads
   // (gets/get_misses parity with the RAM engine).
@@ -364,11 +387,11 @@ std::vector<Result<Record>> PagedEngine::MultiGet(const std::vector<std::string>
     const std::string& key = keys[slot];
     if (rank > 0 && keys[order[rank - 1]] == key) {
       out[slot] = out[order[rank - 1]];
-      if (!out[slot].ok()) metrics_.GetCounter("get_misses")->Increment();
+      if (!out[slot].ok()) counters_.get_misses->Increment();
       continue;
     }
     Result<Record> result = Lookup(key);
-    if (!result.ok()) metrics_.GetCounter("get_misses")->Increment();
+    if (!result.ok()) counters_.get_misses->Increment();
     out[slot] = std::move(result);
   }
   return out;
@@ -467,9 +490,9 @@ std::vector<Record> PagedEngine::MergeScan(std::string_view start, std::string_v
 Result<std::vector<Record>> PagedEngine::Scan(std::string_view start, std::string_view end,
                                               size_t limit) const {
   if (!end.empty() && start > end) return InvalidArgumentError("scan start > end");
-  metrics_.GetCounter("scans")->Increment();
+  counters_.scans->Increment();
   std::vector<Record> out = MergeScan(start, end, limit, /*include_tombstones=*/false);
-  metrics_.GetCounter("scan_rows")->Increment(static_cast<int64_t>(out.size()));
+  counters_.scan_rows->Increment(static_cast<int64_t>(out.size()));
   return out;
 }
 
@@ -492,10 +515,10 @@ Status PagedEngine::ApplyBatch(const std::vector<WalRecord>& records) {
   if (options_.wal != nullptr) {
     WalWriter writer(options_.wal);
     SCADS_RETURN_IF_ERROR(writer.AppendBatch(records));
-    metrics_.GetCounter("wal_appends")->Increment(static_cast<int64_t>(records.size()));
+    counters_.wal_appends->Increment(static_cast<int64_t>(records.size()));
     if (options_.wal_sync_every_write) {
       SCADS_RETURN_IF_ERROR(writer.Sync());
-      metrics_.GetCounter("wal_batch_syncs")->Increment();
+      counters_.wal_batch_syncs->Increment();
     }
   }
   for (const WalRecord& record : records) {
@@ -568,7 +591,7 @@ size_t PagedEngine::PurgeTombstonesBefore(Time cutoff) {
 }
 
 void PagedEngine::SpillMemtable() {
-  metrics_.GetCounter("spills")->Increment();
+  counters_.spills->Increment();
   SkipList::Iterator it(mem_.get());
   it.SeekToFirst();
   while (it.Valid()) {
@@ -654,7 +677,7 @@ void PagedEngine::SplitIfOversized(PageId id, PageFrame* frame) {
     page_bounds_[fresh_id] = split_key;
     MarkDirty(frame);
     MarkDirty(fresh);
-    metrics_.GetCounter("page_splits")->Increment();
+    counters_.page_splits->Increment();
     SplitIfOversized(fresh_id, fresh);
     pool_.Unpin(fresh);
   }
@@ -671,8 +694,7 @@ Duration PagedEngine::io_backlog() const {
 }
 
 void PagedEngine::SyncResidentMetric() const {
-  Counter* counter = metrics_.GetCounter("bytes_resident");
-  counter->Increment(bytes_resident() - counter->value());
+  counters_.bytes_resident->Increment(bytes_resident() - counters_.bytes_resident->value());
 }
 
 }  // namespace scads

@@ -188,6 +188,14 @@ class PagedEngine : public EngineInterface {
 
   mutable Duration accrued_io_ = 0;
   mutable MetricRegistry metrics_;
+  /// Handles resolved once: a by-name lookup is a locked map probe per op.
+  struct Counters {
+    explicit Counters(MetricRegistry* m);
+    Counter *puts, *puts_superseded, *deletes, *deletes_superseded, *gets, *get_misses,
+        *multigets, *scans, *scan_rows, *wal_appends, *wal_batch_syncs, *bytes_resident,
+        *page_faults, *page_splits, *pages_prefetched, *prefetch_skips, *pages_written_back,
+        *forced_writebacks, *pool_evictions, *budget_overruns, *spills;
+  } counters_{&metrics_};
   size_t live_count_ = 0;
   size_t total_count_ = 0;
 };

@@ -460,6 +460,40 @@ TEST(CacheSystemTest, RepeatReadsServeFromCacheWithinBound) {
   EXPECT_GT(db->staleness()->stats().cache_hits, 0);
 }
 
+// The simulator half of the modelled-delay rule: even a zero-cost hit
+// posts on the deterministic loop, so its callback waits until the loop is
+// pumped (a real-threads backend runs it inline; see threading_test).
+TEST(CacheSystemTest, ZeroCostHitStillPostsOnTheSimulator) {
+  ScadsOptions options;
+  options.initial_nodes = 1;
+  options.partitions = 4;
+  options.consistency_spec = "staleness: 10s\n";
+  options.cache_config.enabled = true;
+  options.cache_config.hit_service_time = 0;
+  auto db = std::move(Scads::Create(options)).value();
+  ASSERT_TRUE(db->Start().ok());
+  ScadsClient client = db->NewClient();
+
+  bool done = false;
+  client.Put("k", "v", AckMode::kPrimary, [&](Status) { done = true; });
+  db->RunFor(kSecond);
+  ASSERT_TRUE(done);
+  done = false;
+  client.Get("k", [&](Result<Record>) { done = true; });  // fills the cache
+  db->RunFor(kSecond);
+  ASSERT_TRUE(done);
+
+  int64_t hits_before = db->metrics()->CounterValue("cache.point.hits");
+  std::string value;
+  client.Get("k", [&](Result<Record> result) {
+    if (result.ok()) value = result->value;
+  });
+  EXPECT_EQ(db->metrics()->CounterValue("cache.point.hits"), hits_before + 1);
+  EXPECT_EQ(value, "");  // served from cache, but not yet called back
+  db->RunFor(kMillisecond);
+  EXPECT_EQ(value, "v");
+}
+
 TEST(CacheSystemTest, EntriesPastStalenessBoundAreRejectedThenRepopulated) {
   ScadsOptions options;
   options.initial_nodes = 3;

@@ -172,6 +172,19 @@ std::string Key(int writer, int i) {
   return key + "/w" + std::to_string(writer);
 }
 
+// Every modelled node service time at 0 (the real-CPU benchmark's setting).
+NodeConfig ZeroServiceNodeConfig() {
+  NodeConfig config;
+  config.get_service_time = 0;
+  config.put_service_time = 0;
+  config.scan_service_base = 0;
+  config.scan_service_per_row = 0;
+  config.replicate_service_per_record = 0;
+  config.multiget_service_per_key = 0;
+  config.multiwrite_service_per_record = 0;
+  return config;
+}
+
 // ----------------------------------------------- acked writes never lost --
 
 TEST(ThreadedDataPlaneTest, AckedWritesSurviveWriterReaderStorm) {
@@ -372,13 +385,18 @@ TEST(ThreadedDataPlaneTest, TakeWindowWhileLoadedLosesNoCounts) {
 //   * counter conservation: every eligible lookup lands in exactly one of
 //     hits/misses/stale_rejects/version_bypasses across all routers, and
 //     RouterWindow totals survive a concurrent TakeWindow harvest.
-void RunSharedCacheStorm(CacheWriteMode write_mode) {
-  ThreadedCluster tc(4, 1);  // rf=1: storage reads are primary-fresh, so a
-                             // stale observation can only come from the cache
+// `zero_delay` sets every service time and the hit cost to 0, so hits
+// complete inline on the reader threads while invalidations, acks and the
+// harvest race them.
+void RunSharedCacheStorm(CacheWriteMode write_mode, bool zero_delay = false) {
+  // rf=1: storage reads are primary-fresh, so a stale observation can only
+  // come from the cache.
+  ThreadedCluster tc(4, 1, zero_delay ? ZeroServiceNodeConfig() : NodeConfig{});
   MetricRegistry metrics;
   CacheConfig config;
   config.enabled = true;
   config.write_mode = write_mode;
+  if (zero_delay) config.hit_service_time = 0;
   CacheDirectory cache(config, /*staleness_bound=*/0, &metrics);
 
   constexpr int kWriters = 2;
@@ -527,6 +545,115 @@ TEST(ThreadedDataPlaneTest, SharedCacheStormWriteThroughMode) {
   RunSharedCacheStorm(CacheWriteMode::kWriteThrough);
 }
 
+TEST(ThreadedDataPlaneTest, SharedCacheStormZeroDelayInlineHits) {
+  RunSharedCacheStorm(CacheWriteMode::kInvalidate, /*zero_delay=*/true);
+}
+
+// ------------------------------------- zero-delay continuations inline --
+
+// Waits (bounded) until the runtime has run at least `target` tasks, then
+// returns the count. A task is counted after its closure returns, so a
+// caller woken from inside a delivery must wait here before reading it.
+int64_t AwaitTasks(const ThreadedRuntime& runtime, int64_t target) {
+  for (int i = 0; i < 2000 && runtime.tasks_executed() < target; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  return runtime.tasks_executed();
+}
+
+// RunAfterModelled on the real-threads backend: a zero modelled delay runs
+// inline (a cache hit completes on the calling thread, node service runs
+// inside its delivery); a nonzero one still posts.
+TEST(ThreadedDataPlaneTest, ZeroDelayContinuationsRunInline) {
+  auto make_cache_config = [](Duration hit_service_time) {
+    CacheConfig config;
+    config.enabled = true;
+    config.write_mode = CacheWriteMode::kInvalidate;  // a Put leaves the key uncached
+    config.hit_service_time = hit_service_time;
+    return config;
+  };
+  const std::string key = Key(0, 0);
+  {
+    NodeConfig node_config = ZeroServiceNodeConfig();
+    node_config.watermark_heartbeat = 0;  // no periodic tasks: counts are exact
+    ThreadedCluster tc(2, 1, node_config);
+    MetricRegistry metrics;
+    CacheDirectory cache(make_cache_config(0), /*staleness_bound=*/0, &metrics);
+    tc.router->set_cache(&cache);
+    ScadsClient client = tc.client();
+
+    int64_t before = tc.runtime.tasks_executed();
+    ASSERT_TRUE(client.PutSync(key, "v").ok());
+    before = AwaitTasks(tc.runtime, before + 2);
+
+    // (b) A miss: the request delivery (service runs inside it) and the
+    // reply delivery, nothing else.
+    Result<Record> miss = client.GetSync(key);
+    ASSERT_TRUE(miss.ok()) << miss.status().message();
+    EXPECT_EQ(miss->value, "v");
+    EXPECT_EQ(AwaitTasks(tc.runtime, before + 2), before + 2);
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    EXPECT_EQ(tc.runtime.tasks_executed(), before + 2);
+    EXPECT_EQ(metrics.CounterValue("cache.point.misses"), 1);
+
+    // (a) A hit: the callback has run, on this thread, before Get returns,
+    // and the runtime ran nothing for it.
+    before = tc.runtime.tasks_executed();
+    bool called = false;
+    std::thread::id callback_thread;
+    std::string value;
+    tc.router->Get(key, RequestOptions{}, [&](Result<Record> result) {
+      called = true;
+      callback_thread = std::this_thread::get_id();
+      if (result.ok()) value = result->value;
+    });
+    EXPECT_TRUE(called);
+    EXPECT_EQ(callback_thread, std::this_thread::get_id());
+    EXPECT_EQ(value, "v");
+    EXPECT_EQ(metrics.CounterValue("cache.point.hits"), 1);
+
+    // An all-hit MultiGet completes inline too.
+    bool multi_called = false;
+    tc.router->MultiGet({key, key}, RequestOptions{},
+                        [&](std::vector<Result<Record>> results) {
+                          multi_called = results.size() == 2 && results[0].ok() &&
+                                         results[1].ok();
+                        });
+    EXPECT_TRUE(multi_called);
+    EXPECT_EQ(tc.runtime.tasks_executed(), before);
+  }
+  {
+    // (c) Nonzero modelled delays still post, and are still paid.
+    NodeConfig node_config;
+    node_config.get_service_time = 200;
+    ThreadedCluster tc(2, 1, node_config);
+    MetricRegistry metrics;
+    CacheDirectory cache(make_cache_config(50), /*staleness_bound=*/0, &metrics);
+    tc.router->set_cache(&cache);
+    ASSERT_TRUE(tc.client().PutSync(key, "v").ok());
+
+    auto timed_get = [&](Duration modelled) {
+      std::atomic<bool> done{false};
+      std::atomic<Time> finished{0};
+      Time start = tc.runtime.Now();
+      tc.router->Get(key, RequestOptions{}, [&](Result<Record>) {
+        finished.store(tc.runtime.Now());
+        done.store(true, std::memory_order_release);
+      });
+      EXPECT_FALSE(done.load(std::memory_order_acquire));
+      for (int i = 0; i < 2000 && !done.load(std::memory_order_acquire); ++i) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      }
+      ASSERT_TRUE(done.load(std::memory_order_acquire));
+      EXPECT_GE(finished.load() - start, modelled);
+    };
+    timed_get(200);  // miss: the node's service time
+    EXPECT_EQ(metrics.CounterValue("cache.point.misses"), 1);
+    timed_get(50);   // hit: the cache's hit cost
+    EXPECT_EQ(metrics.CounterValue("cache.point.hits"), 1);
+  }
+}
+
 // --------------------------------------- pick-map harvest concurrency --
 
 // Regression: RouterWindow::picks_by_node is a per-node map merged entry by
@@ -591,14 +718,7 @@ TEST(ThreadedDataPlaneTest, ConcurrentHarvestConservesPickMap) {
 // race on different workers. Whichever wins, every callback fires exactly
 // once and every logical op lands in the window exactly once.
 TEST(ThreadedDataPlaneTest, RacingRepliesAndTimeoutsCompleteExactlyOnce) {
-  NodeConfig node_config;
-  node_config.get_service_time = 0;
-  node_config.put_service_time = 0;
-  node_config.scan_service_base = 0;
-  node_config.scan_service_per_row = 0;
-  node_config.replicate_service_per_record = 0;
-  node_config.multiget_service_per_key = 0;
-  node_config.multiwrite_service_per_record = 0;
+  NodeConfig node_config = ZeroServiceNodeConfig();
   RouterConfig router_config;
   router_config.request_timeout = 40;  // us
   router_config.breaker.enabled = false;  // keep every attempt on the wire
