@@ -44,13 +44,6 @@
 
 namespace scads {
 
-/// A point read's reply: the record plus the serving node's replication
-/// watermark, snapshotted when the node served the read.
-struct PointReadReply {
-  Result<Record> result;
-  Time as_of = 0;
-};
-
 // Reply payload sizes on the wire, one rule per reply type.
 inline int64_t ReplyBytes(const Status&) { return 4; }
 inline int64_t ReplyBytes(const std::vector<Status>& statuses) {

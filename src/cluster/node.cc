@@ -1,6 +1,7 @@
 #include "cluster/node.h"
 
 #include <algorithm>
+#include <type_traits>
 #include <utility>
 
 #include "common/logging.h"
@@ -13,6 +14,28 @@ namespace {
 constexpr Duration kMaxRetryDelay = kSecond;
 // Smoothing factor for the load-signal EWMAs (sojourn, shed fraction).
 constexpr double kLoadEwmaAlpha = 0.2;
+
+// What a shed client request is told, one specialization per reply type:
+// every key or item reports kResourceExhausted, so the router can redirect
+// each of them.
+Status Overloaded() { return ResourceExhaustedError("node overloaded"); }
+
+template <typename Reply>
+Reply ShedReply(size_t items);
+template <>
+Status ShedReply<Status>(size_t) { return Overloaded(); }
+template <>
+Result<std::vector<Record>> ShedReply<Result<std::vector<Record>>>(size_t) { return Overloaded(); }
+template <>
+PointReadReply ShedReply<PointReadReply>(size_t) { return PointReadReply{Overloaded(), 0}; }
+template <>
+std::vector<Status> ShedReply<std::vector<Status>>(size_t items) {
+  return std::vector<Status>(items, Overloaded());
+}
+template <>
+MultiGetReply ShedReply<MultiGetReply>(size_t keys) {
+  return MultiGetReply{std::vector<Result<Record>>(keys, Overloaded()), std::vector<Time>(keys, 0)};
+}
 
 int AcksNeeded(AckMode ack, size_t replica_count) {
   switch (ack) {
@@ -193,99 +216,109 @@ void StorageNode::SetBackgroundLoad(double utilization, Duration busy_account) {
                                                    std::max(1.0, utilization)));
 }
 
-void StorageNode::HandleGet(const std::string& key, RequestPriority priority,
-                            std::function<void(Result<Record>)> respond) {
+template <typename Reply, typename Body>
+void StorageNode::Serve(Duration service, RequestPriority priority, size_t items,
+                        std::function<void(Reply)> respond, Body body) {
+  constexpr bool kOneWay = std::is_same_v<Reply, OneWay>;
   if (!alive_) return;
-  std::optional<Duration> sojourn = Admit(config_.get_service_time, priority);
+  std::optional<Duration> sojourn = Admit(service, priority, /*client=*/!kOneWay);
   if (!sojourn.has_value()) {
-    respond(ResourceExhaustedError("node overloaded"));
+    if constexpr (!kOneWay) respond(ShedReply<Reply>(items));
     return;
   }
-  RunAfterModelled(loop_, *sojourn, [this, key, respond = std::move(respond)] {
+  RunAfterModelled(loop_, *sojourn, [this, respond = std::move(respond),
+                                    body = std::move(body)]() mutable {
     if (!alive_) return;
-    Result<Record> result = engine_->Get(key);
-    // Page faults delay the response by the disk latency they accrued; the
-    // pure-RAM hit path responds inline, preserving event ordering.
-    Duration io = ChargeEngineIo();
-    if (io <= 0) {
-      ++stats_.ops_completed;
-      respond(std::move(result));
-      return;
+    if constexpr (kOneWay) {
+      body();
+    } else {
+      body(std::move(respond));
     }
-    loop_->ScheduleAfter(io, [this, result = std::move(result),
-                              respond = std::move(respond)]() mutable {
-      if (!alive_) return;
-      ++stats_.ops_completed;
-      respond(std::move(result));
-    });
+  });
+}
+
+template <typename Reply, typename Finish>
+void StorageNode::ReplyAfterIo(size_t items, Duration extra_delay,
+                               std::function<void(Reply)> respond, Finish finish) {
+  // Page faults delay the reply by the disk latency they accrued; the
+  // pure-RAM path replies inline, preserving event order.
+  Duration delay = extra_delay + ChargeEngineIo();
+  if (delay <= 0) {
+    stats_.ops_completed += static_cast<int64_t>(items);
+    respond(finish());
+    return;
+  }
+  loop_->ScheduleAfter(delay, [this, items, respond = std::move(respond),
+                               finish = std::move(finish)]() mutable {
+    if (!alive_) return;
+    stats_.ops_completed += static_cast<int64_t>(items);
+    respond(finish());
+  });
+}
+
+template <typename Deliver>
+void StorageNode::SendToPeer(NodeId to, int64_t payload_bytes, Deliver deliver) {
+  StorageNode* peer = cluster_->GetNode(to);
+  if (peer == nullptr) return;
+  network_->Send(id_, to, payload_bytes,
+                 [peer, deliver = std::move(deliver)]() mutable { deliver(peer); });
+}
+
+void StorageNode::HandleGet(const std::string& key, RequestPriority priority,
+                            std::function<void(PointReadReply)> respond) {
+  Serve(config_.get_service_time, priority, 1, std::move(respond),
+        [this, key](std::function<void(PointReadReply)> respond) mutable {
+    Result<Record> result = engine_->Get(key);
+    ReplyAfterIo(1, 0, std::move(respond),
+                 [this, key = std::move(key), result = std::move(result)]() mutable {
+                   // Snapshotted as the reply leaves: a write acked while
+                   // the reply is on the wire must not lend this
+                   // (predecessor) value a fresh staleness lease.
+                   Time as_of = replicated_through(cluster_->partitions()->ForKey(key).id);
+                   return PointReadReply{std::move(result), as_of};
+                 });
   });
 }
 
 void StorageNode::HandleMultiGet(const std::vector<std::string>& keys,
                                  RequestPriority priority,
                                  std::function<void(MultiGetReply)> respond) {
-  if (!alive_) return;
   Duration service =
       config_.get_service_time +
       config_.multiget_service_per_key *
           static_cast<Duration>(keys.empty() ? 0 : keys.size() - 1);
-  std::optional<Duration> sojourn = Admit(service, priority);
-  if (!sojourn.has_value()) {
-    // Shed the whole batch, per key, so the router can redirect it.
-    MultiGetReply reply;
-    reply.results.assign(keys.size(),
-                         Result<Record>(ResourceExhaustedError("node overloaded")));
-    reply.as_of.assign(keys.size(), 0);
-    respond(std::move(reply));
-    return;
-  }
-  RunAfterModelled(loop_, *sojourn, [this, keys, respond = std::move(respond)] {
-    if (!alive_) return;
+  Serve(service, priority, keys.size(), std::move(respond),
+        [this, keys](std::function<void(MultiGetReply)> respond) {
     MultiGetReply reply;
     reply.results = engine_->MultiGet(keys);
     reply.as_of.reserve(keys.size());
     for (const std::string& key : keys) {
-      // Serve-time watermark, per key: sub-batches may span partitions with
-      // different replication progress.
+      // Serve-time watermark, per key: sub-batches may span partitions
+      // with different replication progress.
       reply.as_of.push_back(replicated_through(cluster_->partitions()->ForKey(key).id));
     }
-    Duration io = ChargeEngineIo();
-    if (io <= 0) {
-      stats_.ops_completed += static_cast<int64_t>(keys.size());
-      respond(std::move(reply));
-      return;
-    }
-    loop_->ScheduleAfter(io, [this, count = keys.size(), reply = std::move(reply),
-                              respond = std::move(respond)]() mutable {
-      if (!alive_) return;
-      stats_.ops_completed += static_cast<int64_t>(count);
-      respond(std::move(reply));
-    });
+    ReplyAfterIo(keys.size(), 0, std::move(respond),
+                 [reply = std::move(reply)]() mutable { return std::move(reply); });
   });
 }
 
 void StorageNode::HandleMultiWrite(std::vector<MultiWriteItem> items, AckMode ack,
                                    RequestPriority priority,
                                    std::function<void(std::vector<Status>)> respond) {
-  if (!alive_) return;
   if (items.empty()) {
-    respond({});  // vacuously committed; the ack loop below would never fire
+    // Vacuously committed; the ack loop below would never fire.
+    if (alive_) respond({});
     return;
   }
+  const size_t count = items.size();
   Duration service = config_.put_service_time +
-                     config_.multiwrite_service_per_record *
-                         static_cast<Duration>(items.size() - 1);
-  std::optional<Duration> sojourn = Admit(service, priority);
-  if (!sojourn.has_value()) {
-    respond(std::vector<Status>(items.size(), ResourceExhaustedError("node overloaded")));
-    return;
-  }
-  RunAfterModelled(loop_, *sojourn, [this, items = std::move(items), ack,
-                                    respond = std::move(respond)]() mutable {
-    if (!alive_) return;
+                     config_.multiwrite_service_per_record * static_cast<Duration>(count - 1);
+  Serve(service, priority, count, std::move(respond),
+        [this, items = std::move(items), ack](
+            std::function<void(std::vector<Status>)> respond) {
     stats_.ops_completed += static_cast<int64_t>(items.size());
-    // Group commit: log and apply the whole batch before any replication or
-    // ack — one WAL sync covers every record.
+    // Group commit: log and apply the whole batch before any
+    // replication or ack — one WAL sync covers every record.
     std::vector<WalRecord> records;
     records.reserve(items.size());
     for (const MultiWriteItem& item : items) records.push_back(item.record);
@@ -295,8 +328,8 @@ void StorageNode::HandleMultiWrite(std::vector<MultiWriteItem> items, AckMode ac
       respond(std::vector<Status>(items.size(), applied));
       return;
     }
-    // Fan each record out on the replication streams; the batch responds
-    // when every record has reached the requested ack level.
+    // Fan each record out on the replication streams; the batch
+    // responds when every record has reached the requested ack level.
     struct BatchState {
       std::vector<Status> statuses;
       size_t remaining = 0;
@@ -321,31 +354,19 @@ void StorageNode::HandleMultiWrite(std::vector<MultiWriteItem> items, AckMode ac
 void StorageNode::HandleScan(const std::string& start, const std::string& end, size_t limit,
                              RequestPriority priority,
                              std::function<void(Result<std::vector<Record>>)> respond) {
-  if (!alive_) return;
-  // Service cost depends on rows returned; we charge after execution by
-  // first paying the base, running, then paying per-row (approximating a
-  // cursor that streams rows while holding the executor).
-  std::optional<Duration> sojourn = Admit(config_.scan_service_base, priority);
-  if (!sojourn.has_value()) {
-    respond(ResourceExhaustedError("node overloaded"));
-    return;
-  }
-  RunAfterModelled(loop_, *sojourn, [this, start, end, limit, respond = std::move(respond)] {
-    if (!alive_) return;
+  // Admission pays the base cost; the per-row cost is charged after the
+  // scan runs and delays the reply (a cursor streaming rows while holding
+  // the executor).
+  Serve(config_.scan_service_base, priority, 1, std::move(respond),
+        [this, start, end, limit](std::function<void(Result<std::vector<Record>>)> respond) {
     Result<std::vector<Record>> rows = engine_->Scan(start, end, limit);
     Duration row_cost = 0;
     if (rows.ok()) {
       row_cost = config_.scan_service_per_row * static_cast<Duration>(rows->size());
       AccrueBusy(loop_->Now(), row_cost);
     }
-    // Pages faulted while scanning delay the response like row cost does.
-    row_cost += ChargeEngineIo();
-    RunAfterModelled(loop_, row_cost, [this, rows = std::move(rows),
-                                      respond = std::move(respond)]() mutable {
-      if (!alive_) return;
-      ++stats_.ops_completed;
-      respond(std::move(rows));
-    });
+    ReplyAfterIo(1, row_cost, std::move(respond),
+                 [rows = std::move(rows)]() mutable { return std::move(rows); });
   });
 }
 
@@ -383,16 +404,10 @@ void StorageNode::ApplyAndReplicate(PartitionId pid, const WalRecord& record, Ac
 
 void StorageNode::HandleWrite(PartitionId pid, const WalRecord& record, AckMode ack,
                               RequestPriority priority, std::function<void(Status)> respond) {
-  if (!alive_) return;
-  std::optional<Duration> sojourn = Admit(config_.put_service_time, priority);
-  if (!sojourn.has_value()) {
-    respond(ResourceExhaustedError("node overloaded"));
-    return;
-  }
-  RunAfterModelled(loop_, *sojourn, [this, pid, record, ack, respond = std::move(respond)] {
-    if (!alive_) return;
+  Serve(config_.put_service_time, priority, 1, std::move(respond),
+        [this, pid, record, ack](std::function<void(Status)> respond) {
     ++stats_.ops_completed;
-    ApplyAndReplicate(pid, record, ack, respond);
+    ApplyAndReplicate(pid, record, ack, std::move(respond));
   });
 }
 
@@ -401,18 +416,12 @@ void StorageNode::HandleConditionalPut(PartitionId pid, const std::string& key,
                                        Version new_version, AckMode ack,
                                        RequestPriority priority,
                                        std::function<void(Status)> respond) {
-  if (!alive_) return;
-  std::optional<Duration> sojourn = Admit(config_.put_service_time, priority);
-  if (!sojourn.has_value()) {
-    respond(ResourceExhaustedError("node overloaded"));
-    return;
-  }
-  RunAfterModelled(loop_, *sojourn, [this, pid, key, value, expected, new_version, ack,
-                                    respond = std::move(respond)] {
-    if (!alive_) return;
+  Serve(config_.put_service_time, priority, 1, std::move(respond),
+        [this, pid, key, value, expected, new_version,
+         ack](std::function<void(Status)> respond) {
     ++stats_.ops_completed;
-    // The primary serializes all writers of this partition, so read-check-
-    // write here is atomic.
+    // The primary serializes all writers of this partition, so read-
+    // check-write here is atomic.
     std::optional<Record> current = engine_->GetRaw(key);
     ChargeEngineIo();  // the version check may fault the covering page
     bool exists_live = current.has_value() && !current->tombstone;
@@ -430,7 +439,7 @@ void StorageNode::HandleConditionalPut(PartitionId pid, const std::string& key,
     record.key = key;
     record.value = value;
     record.version = new_version;
-    ApplyAndReplicate(pid, record, ack, respond);
+    ApplyAndReplicate(pid, record, ack, std::move(respond));
   });
 }
 
@@ -438,8 +447,7 @@ void StorageNode::EnqueueReplication(PartitionId pid, NodeId to, const WalRecord
                                      const std::shared_ptr<WriteWaiter>& waiter) {
   ReplicationStream& stream = streams_[{pid, to}];
   uint64_t seq = stream.next_seq++;
-  stream.pending.emplace_back(seq, record);
-  stream.enqueue_times.emplace_back(seq, loop_->Now());
+  stream.pending.push_back(PendingRecord{seq, record, loop_->Now()});
   if (waiter != nullptr) stream.waiters.emplace_back(seq, waiter);
   if (waiter != nullptr) {
     // Synchronous-ack writes flush immediately.
@@ -504,37 +512,26 @@ void StorageNode::FlushStream(PartitionId pid, NodeId to) {
 void StorageNode::SendBatch(PartitionId pid, NodeId to, ReplicationStream* stream) {
   // Send everything pending (bounded by batch max), starting after the last
   // cumulative ack; retransmissions resend the same prefix.
+  // The batch's watermark is its last record's enqueue time.
   std::vector<WalRecord> batch;
   uint64_t first_seq = stream->acked + 1;
   Time watermark = 0;
-  size_t count = 0;
-  for (const auto& [seq, record] : stream->pending) {
-    if (seq < first_seq) continue;
-    if (count == config_.replication_batch_max) break;
-    batch.push_back(record);
-    ++count;
+  int64_t payload_bytes = 0;
+  for (const PendingRecord& entry : stream->pending) {
+    if (entry.seq < first_seq) continue;
+    if (batch.size() == config_.replication_batch_max) break;
+    batch.push_back(entry.record);
+    payload_bytes += WireSize(entry.record);
+    watermark = entry.enqueued_at;
   }
   if (batch.empty()) return;
-  uint64_t last_seq = first_seq + count - 1;
-  for (const auto& [seq, at] : stream->enqueue_times) {
-    if (seq == last_seq) {
-      watermark = at;
-      break;
-    }
-  }
-  stream->sent_through = last_seq;
+  stream->sent_through = first_seq + batch.size() - 1;
   stream->inflight = true;
   stats_.records_replicated_out += static_cast<int64_t>(batch.size());
-  NodeId self = id_;
-  StorageNode* target = cluster_->GetNode(to);
-  if (target != nullptr) {
-    int64_t payload_bytes = 0;
-    for (const WalRecord& record : batch) payload_bytes += WireSize(record);
-    network_->Send(self, to, payload_bytes,
-                   [target, pid, self, first_seq, batch = std::move(batch), watermark]() mutable {
-                     target->HandleReplicate(pid, self, first_seq, std::move(batch), watermark);
-                   });
-  }
+  SendToPeer(to, payload_bytes, [pid, self = id_, first_seq, batch = std::move(batch),
+                                 watermark](StorageNode* target) mutable {
+    target->HandleReplicate(pid, self, first_seq, std::move(batch), watermark);
+  });
   // Arm retransmission with exponential backoff.
   Duration delay = stream->current_retry_delay == 0 ? config_.replication_retry_base
                                                     : stream->current_retry_delay;
@@ -568,14 +565,11 @@ void StorageNode::HandleReplicate(PartitionId pid, NodeId from, uint64_t first_s
   // stream doubles as the failure detector's primary signal (even a shed
   // batch was still sent by a live node).
   cluster_->RecordHeartbeat(from, loop_->Now());
-  Duration service =
-      config_.replicate_service_per_record * std::max<Duration>(1, static_cast<Duration>(records.size()));
-  std::optional<Duration> sojourn =
-      Admit(service, RequestPriority::kNormal, /*client=*/false);
-  if (!sojourn.has_value()) return;  // shed; primary will retransmit
-  RunAfterModelled(loop_, *sojourn, [this, pid, from, first_seq, records = std::move(records),
-                                    watermark] {
-    if (!alive_) return;
+  Duration service = config_.replicate_service_per_record *
+                     std::max<Duration>(1, static_cast<Duration>(records.size()));
+  // A shed batch is retransmitted by the primary.
+  Serve<OneWay>(service, RequestPriority::kNormal, 0, nullptr,
+                [this, pid, from, first_seq, records = std::move(records), watermark] {
     uint64_t& applied = last_applied_seq_[{pid, from}];
     uint64_t seq = first_seq;
     for (const WalRecord& record : records) {
@@ -592,13 +586,9 @@ void StorageNode::HandleReplicate(PartitionId pid, NodeId from, uint64_t first_s
       through = std::max(through, watermark);
     }
     // Cumulative ack back to the primary.
-    StorageNode* primary = cluster_->GetNode(from);
-    if (primary != nullptr) {
-      uint64_t ack = applied;
-      NodeId self = id_;
-      network_->Send(self, from,
-                     [primary, pid, self, ack] { primary->HandleReplicateAck(pid, self, ack); });
-    }
+    SendToPeer(from, 0, [pid, self = id_, ack = applied](StorageNode* primary) {
+      primary->HandleReplicateAck(pid, self, ack);
+    });
   });
 }
 
@@ -611,11 +601,8 @@ void StorageNode::HandleReplicateAck(PartitionId pid, NodeId from, uint64_t acke
   if (acked_seq <= stream.acked) return;  // stale/duplicate ack
   stream.acked = acked_seq;
   stream.current_retry_delay = 0;
-  while (!stream.pending.empty() && stream.pending.front().first <= acked_seq) {
+  while (!stream.pending.empty() && stream.pending.front().seq <= acked_seq) {
     stream.pending.pop_front();
-  }
-  while (!stream.enqueue_times.empty() && stream.enqueue_times.front().first <= acked_seq) {
-    stream.enqueue_times.pop_front();
   }
   // Wake write waiters satisfied by this ack.
   auto waiter_it = stream.waiters.begin();
@@ -646,13 +633,10 @@ void StorageNode::StartRecovery() {
   for (PartitionId pid : cluster_->partitions()->PartitionsOnNode(id_)) {
     const PartitionInfo* partition = cluster_->partitions()->Get(pid);
     if (partition == nullptr || partition->primary() == id_) continue;
-    StorageNode* primary = cluster_->GetNode(partition->primary());
-    if (primary == nullptr) continue;
-    Time since = replicated_through(pid);
-    NodeId self = id_;
-    network_->Send(self, partition->primary(), [primary, pid, self, since] {
-      primary->HandleDeltaSyncRequest(pid, self, since);
-    });
+    SendToPeer(partition->primary(), 0,
+               [pid, self = id_, since = replicated_through(pid)](StorageNode* primary) {
+                 primary->HandleDeltaSyncRequest(pid, self, since);
+               });
   }
 }
 
@@ -660,15 +644,12 @@ void StorageNode::HandleDeltaSyncRequest(PartitionId pid, NodeId from, Time sinc
   if (!alive_) return;
   const PartitionInfo* partition = cluster_->partitions()->Get(pid);
   if (partition == nullptr || partition->primary() != id_) return;  // stale map; streams cover it
-  StorageNode* requester = cluster_->GetNode(from);
-  if (requester == nullptr) return;
+  if (cluster_->GetNode(from) == nullptr) return;  // nowhere to send the reply
   // The scan pays admitted service like any range read; recovery traffic
-  // must not jump the queue ahead of client work.
-  std::optional<Duration> sojourn =
-      Admit(config_.scan_service_base, RequestPriority::kNormal, /*client=*/false);
-  if (!sojourn.has_value()) return;  // overloaded; the recovering node still has the streams
-  RunAfterModelled(loop_, *sojourn, [this, pid, from, since, requester] {
-    if (!alive_) return;
+  // must not jump the queue ahead of client work. If shed, the recovering
+  // node still has the streams.
+  Serve<OneWay>(config_.scan_service_base, RequestPriority::kNormal, 0, nullptr,
+                [this, pid, from, since] {
     const PartitionInfo* partition = cluster_->partitions()->Get(pid);
     if (partition == nullptr || partition->primary() != id_) return;
     // Everything whose version stamp is at or after the requester's durable
@@ -695,12 +676,10 @@ void StorageNode::HandleDeltaSyncRequest(PartitionId pid, NodeId from, Time sinc
     ChargeEngineIo();
     ++stats_.delta_syncs_served;
     stats_.delta_records_shipped += static_cast<int64_t>(missed.size());
-    Time watermark = loop_->Now();
-    NodeId self = id_;
-    network_->Send(self, from, payload_bytes,
-                   [requester, pid, self, missed = std::move(missed), watermark]() mutable {
-                     requester->HandleDeltaSyncResponse(pid, self, std::move(missed), watermark);
-                   });
+    SendToPeer(from, payload_bytes, [pid, self = id_, missed = std::move(missed),
+                                     watermark = loop_->Now()](StorageNode* requester) mutable {
+      requester->HandleDeltaSyncResponse(pid, self, std::move(missed), watermark);
+    });
   });
 }
 
@@ -716,11 +695,9 @@ void StorageNode::HandleDeltaSyncResponse(PartitionId pid, NodeId from,
   }
   Duration service = config_.replicate_service_per_record *
                      std::max<Duration>(1, static_cast<Duration>(records.size()));
-  std::optional<Duration> sojourn =
-      Admit(service, RequestPriority::kNormal, /*client=*/false);
-  if (!sojourn.has_value()) return;  // shed; the streams still converge eventually
-  RunAfterModelled(loop_, *sojourn, [this, pid, records = std::move(records), watermark] {
-    if (!alive_) return;
+  // If shed, the streams still converge eventually.
+  Serve<OneWay>(service, RequestPriority::kNormal, 0, nullptr,
+                [this, pid, records = std::move(records), watermark] {
     for (const WalRecord& record : records) {
       (void)engine_->Apply(record);
       ++stats_.records_replicated_in;
@@ -739,13 +716,9 @@ void StorageNode::HeartbeatTick() {
   // detector in ClusterState measures reachability rather than trusting an
   // oracle. Every node beacons — secondaries and rf=1 nodes carry no
   // outbound watermark streams, yet their death must still be detectable.
-  {
-    ClusterState* cluster = cluster_;
-    NodeId self = id_;
-    Executor* loop = loop_;
-    network_->Send(self, ClusterState::kControlPlane,
-                   [cluster, self, loop] { cluster->RecordHeartbeat(self, loop->Now()); });
-  }
+  network_->Send(id_, ClusterState::kControlPlane, [cluster = cluster_, self = id_, loop = loop_] {
+    cluster->RecordHeartbeat(self, loop->Now());
+  });
   // Advance watermarks on idle streams so secondaries can prove freshness.
   for (PartitionId pid : cluster_->partitions()->PartitionsOnNode(id_, /*primary_only=*/true)) {
     const PartitionInfo* partition = cluster_->partitions()->Get(pid);
@@ -754,12 +727,9 @@ void StorageNode::HeartbeatTick() {
       if (replica == id_) continue;
       ReplicationStream& stream = streams_[{pid, replica}];
       if (!stream.pending.empty() || stream.inflight) continue;  // data carries watermark
-      Time watermark = loop_->Now();
-      uint64_t first_seq = stream.next_seq;  // empty batch: no seq consumed
-      StorageNode* target = cluster_->GetNode(replica);
-      if (target == nullptr) continue;
-      NodeId self = id_;
-      network_->Send(self, replica, [target, pid, self, first_seq, watermark] {
+      // Empty batch: no seq consumed.
+      SendToPeer(replica, 0, [pid, self = id_, first_seq = stream.next_seq,
+                              watermark = loop_->Now()](StorageNode* target) {
         target->HandleReplicate(pid, self, first_seq, {}, watermark);
       });
     }
@@ -768,10 +738,8 @@ void StorageNode::HeartbeatTick() {
 
 Time StorageNode::replicated_through(PartitionId pid) const {
   // A primary is definitionally current.
-  if (cluster_->partitions()->Get(pid) != nullptr &&
-      cluster_->partitions()->Get(pid)->primary() == id_) {
-    return loop_->Now();
-  }
+  const PartitionInfo* partition = cluster_->partitions()->Get(pid);
+  if (partition != nullptr && partition->primary() == id_) return loop_->Now();
   auto it = replicated_through_.find(pid);
   return it == replicated_through_.end() ? 0 : it->second;
 }

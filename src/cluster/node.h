@@ -1,13 +1,24 @@
-// StorageNode: one simulated server.
+// StorageNode: one storage server, on either execution backend.
 //
-// Wraps a StorageEngine with (a) a service-time queueing model, so latency
+// Wraps a storage engine with (a) a service-time queueing model, so latency
 // rises as utilization approaches 1 — the signal the Director's ML models
 // learn from; and (b) reliable asynchronous replication streams (sequence-
 // numbered log shipping with cumulative acks and retransmission), which give
 // the bounded-staleness and durability behaviours of paper §3.3.
 //
-// Handlers are invoked via MessageFabric closures; responses are the caller's
-// responsibility to route back (the Router composes the return hop).
+// One serve path: each handler — six client requests, three peer messages
+// (replication batch, delta-sync request and reply) — runs its pre-checks
+// and hands its engine body to Serve, which admits it at its priority,
+// answers a shed client request with its reply type's shed reply (shed peer
+// traffic is dropped; the sender retries), waits out the modelled sojourn
+// and rechecks liveness. Replies go through the handler's `respond`
+// (RunAttempt ships them back to the caller); messages to other nodes go
+// through one send helper.
+//
+// Owner-worker rule: on the threaded backend every handler and timer of a
+// node runs on the one worker that owns its NodeId, so the node body needs
+// no lock. Only fields read live by other threads (liveness, backlog, the
+// smoothed load signal) are atomics.
 
 #ifndef SCADS_CLUSTER_NODE_H_
 #define SCADS_CLUSTER_NODE_H_
@@ -109,6 +120,14 @@ struct NodeStats {
   int64_t delta_syncs_completed = 0;
 };
 
+/// Response to a point read: the record plus the serving replica's
+/// replication watermark, snapshotted as the reply leaves the node (the
+/// cache's as_of).
+struct PointReadReply {
+  Result<Record> result;
+  Time as_of = 0;
+};
+
 /// Response to a batched read: one result per requested key, in request
 /// order, plus the serving replica's replication watermark per key (the
 /// instant each value is provably no staler than — the cache's as_of).
@@ -124,7 +143,7 @@ struct MultiWriteItem {
   WalRecord record;
 };
 
-/// One storage server in the simulated cluster.
+/// One storage server.
 class StorageNode {
  public:
   StorageNode(NodeId id, Executor* exec, MessageFabric* network, ClusterState* cluster,
@@ -167,9 +186,10 @@ class StorageNode {
   // Every request handler takes the request's RequestPriority so admission
   // can shed kLow work first under overload.
 
-  /// Point read of `key`.
+  /// Point read of `key`; the reply carries this node's watermark for the
+  /// key's partition.
   void HandleGet(const std::string& key, RequestPriority priority,
-                 std::function<void(Result<Record>)> respond);
+                 std::function<void(PointReadReply)> respond);
 
   /// Batched point reads: one admission (base get cost + a smaller marginal
   /// cost per extra key) and one engine MultiGet over the whole key set.
@@ -269,10 +289,16 @@ class StorageNode {
     bool done = false;
   };
 
+  // A replicated record awaiting its secondary's ack.
+  struct PendingRecord {
+    uint64_t seq = 0;
+    WalRecord record;
+    Time enqueued_at = 0;  // the watermark a batch ending here carries
+  };
+
   // Reliable, ordered, at-least-once stream of records to one secondary.
   struct ReplicationStream {
-    std::deque<std::pair<uint64_t, WalRecord>> pending;  // (seq, record)
-    std::deque<std::pair<uint64_t, Time>> enqueue_times; // (seq, enqueued_at)
+    std::deque<PendingRecord> pending;
     uint64_t next_seq = 1;
     uint64_t acked = 0;
     uint64_t sent_through = 0;
@@ -286,6 +312,29 @@ class StorageNode {
 
   using StreamKey = std::pair<PartitionId, NodeId>;
 
+  /// The reply type of one-way peer traffic (replication batches, delta
+  /// sync): there is none, and a shed is dropped for the sender to retry.
+  struct OneWay {};
+
+  /// The one serve path (see the header), ending in `body(respond)`, or in
+  /// `body()` for OneWay peer traffic, which passes a null `respond`. A shed
+  /// reply carries one status per item.
+  template <typename Reply, typename Body>
+  void Serve(Duration service, RequestPriority priority, size_t items,
+             std::function<void(Reply)> respond, Body body);
+
+  /// Charges the engine IO the body accrued and replies `finish()` after
+  /// `extra_delay` plus that IO: inline when both are zero, else after a
+  /// post that rechecks liveness. `items` ops complete at the reply.
+  template <typename Reply, typename Finish>
+  void ReplyAfterIo(size_t items, Duration extra_delay, std::function<void(Reply)> respond,
+                    Finish finish);
+
+  /// Sends a `payload_bytes` message to peer node `to`; `deliver(peer)`
+  /// runs on the peer's worker. Nothing is sent to an unregistered node.
+  template <typename Deliver>
+  void SendToPeer(NodeId to, int64_t payload_bytes, Deliver deliver);
+
   /// Admission + FIFO queue: reserves `service` capacity, returns total
   /// sojourn (wait+service), or nullopt when shedding. Priority steers the
   /// shed order: kLow sheds at low_priority_shed_fraction of the queue cap
@@ -293,8 +342,7 @@ class StorageNode {
   /// at the cap but exempt from the saturation admission lottery.
   /// `client` requests book into the per-priority counters; internal
   /// traffic (replication) books sheds into replication_sheds instead.
-  std::optional<Duration> Admit(Duration service, RequestPriority priority,
-                                bool client = true);
+  std::optional<Duration> Admit(Duration service, RequestPriority priority, bool client);
 
   /// Applies a write locally and fans out to the replica set of `pid`.
   void ApplyAndReplicate(PartitionId pid, const WalRecord& record, AckMode ack,
@@ -330,11 +378,10 @@ class StorageNode {
   /// kUnavailable, and erases it.
   void TearDownStream(PartitionId pid, NodeId to);
 
-  // On the threaded backend all of this node's handlers and timers run on
-  // its one owner worker (pinned delivery + worker-affine timers), so the
-  // node body needs no lock. The exceptions — fields read live by OTHER
-  // threads through ClusterState::NodeLoad / liveness checks — are
-  // atomics: alive_, busy_until_, and the smoothed load-signal components.
+  // Owner-worker rule (see the header comment): the exceptions to
+  // single-threaded access — fields read live by OTHER threads through
+  // ClusterState::NodeLoad / liveness checks — are atomics: alive_,
+  // busy_until_, and the smoothed load-signal components.
   NodeId id_;
   Executor* loop_;
   MessageFabric* network_;

@@ -201,8 +201,7 @@ void Rebalancer::DrainNode(NodeId node, std::vector<NodeId> targets,
       if (cluster_->GetNode(candidate) == nullptr || !cluster_->IsAlive(candidate)) continue;
       const auto& replicas = partition->replicas;
       if (std::find(replicas.begin(), replicas.end(), candidate) != replicas.end()) continue;
-      double pressure = cluster_->NodeLoad(candidate)
-                            .Pressure(config_.load_backlog_ref, config_.load_sojourn_ref);
+      double pressure = cluster_->NodeLoad(candidate).Pressure();
       size_t candidate_assigned = assigned[candidate];
       if (target == kInvalidNode || pressure < best_pressure ||
           (pressure == best_pressure && candidate_assigned < best_assigned)) {

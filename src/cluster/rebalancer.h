@@ -35,12 +35,6 @@ struct RebalancerConfig {
   int64_t stream_bandwidth_bytes_per_sec = 50'000'000;
   /// Floor per-batch transfer time.
   Duration min_batch_latency = kMillisecond;
-  /// Pressure normalization for destination choice (same vocabulary as the
-  /// Router's SelectorConfig): a drain prefers the least-loaded live
-  /// target by ClusterState::NodeLoad pressure, so an evacuation never
-  /// piles partitions onto a node already in trouble.
-  Duration load_backlog_ref = 200 * kMillisecond;
-  Duration load_sojourn_ref = 20 * kMillisecond;
 };
 
 /// Moves partition replicas between nodes while serving traffic.

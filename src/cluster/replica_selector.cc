@@ -65,7 +65,7 @@ ReplicaPick UniformSelector::Pick(const std::vector<NodeId>& replicas) {
 }
 
 double PowerOfTwoSelector::PressureOf(NodeId node) const {
-  return cluster_->NodeLoad(node).Pressure(config_.backlog_ref, config_.sojourn_ref);
+  return cluster_->NodeLoad(node).Pressure();
 }
 
 ReplicaPick PowerOfTwoSelector::Pick(const std::vector<NodeId>& replicas) {

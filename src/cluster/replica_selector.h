@@ -62,11 +62,6 @@ enum class SelectorKind {
 /// Selection-policy tunables (part of RouterConfig).
 struct SelectorConfig {
   SelectorKind kind = SelectorKind::kPowerOfTwo;
-  /// Pressure normalization references for load-aware policies — the same
-  /// vocabulary AdaptiveBatchConfig uses, so "pressure 1.0" means the same
-  /// thing to batch sizing and replica steering.
-  Duration backlog_ref = 200 * kMillisecond;
-  Duration sojourn_ref = 20 * kMillisecond;
 };
 
 /// One pick's outcome.

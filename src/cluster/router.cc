@@ -116,7 +116,7 @@ size_t Router::SubBatchLimit(NodeId target, const RequestOptions& options, Time 
   // Quadratic shrink: at a busy server the sojourn of a batch scales with
   // its service lump, so the cap must fall faster than the pressure rises
   // for the completion tail to actually flatten.
-  double pressure = cluster_->NodeLoad(target).Pressure(ab.backlog_ref, ab.sojourn_ref);
+  double pressure = cluster_->NodeLoad(target).Pressure();
   double idle = (1.0 - pressure) * (1.0 - pressure);
   double size = static_cast<double>(min_batch) +
                 idle * static_cast<double>(max_batch - min_batch);
@@ -215,14 +215,8 @@ void Router::GetAttempt(const std::string& key, std::vector<NodeId> candidates, 
   RequestPriority priority = options.priority;
   Attempt<PointReadReply>(
       target, request_bytes, options, "read", /*feeds_breaker=*/true,
-      [this, node, key, priority](std::function<void(PointReadReply)> respond) {
-        node->HandleGet(key, priority, [this, node, key, respond](Result<Record> result) {
-          // Snapshot the freshness watermark at serve time, not response
-          // time: a write acked while this response is on the wire must not
-          // lend the (predecessor) value a fresh staleness lease.
-          Time as_of = node->replicated_through(cluster_->partitions()->ForKey(key).id);
-          respond(PointReadReply{std::move(result), as_of});
-        });
+      [node, key, priority](std::function<void(PointReadReply)> respond) {
+        node->HandleGet(key, priority, std::move(respond));
       },
       [this, key, start, callback](PointReadReply reply) {
         FinishRead(start, reply.result.status());

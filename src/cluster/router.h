@@ -63,10 +63,6 @@ struct AdaptiveBatchConfig {
   bool enabled = true;
   size_t min_sub_batch = 4;
   size_t max_sub_batch = 128;
-  /// Explicit queue backlog treated as pressure 1.0.
-  Duration backlog_ref = 200 * kMillisecond;
-  /// Smoothed node sojourn treated as pressure 1.0.
-  Duration sojourn_ref = 20 * kMillisecond;
 };
 
 /// Router tunables.

@@ -15,6 +15,13 @@
 
 namespace scads {
 
+/// The load that reads as full pressure (1.0) in NodeLoadSignal::Pressure:
+/// this much explicit backlog (or IO debt), or this much smoothed sojourn.
+/// Batch sizing, replica steering, drain and repair targeting all share
+/// them, so "pressure 1.0" means the same thing to every consumer.
+inline constexpr Duration kPressureBacklogRef = 200 * kMillisecond;
+inline constexpr Duration kPressureSojournRef = 20 * kMillisecond;
+
 /// One node's current load, snapshotted at read time.
 struct NodeLoadSignal {
   /// Explicit queue backlog: microseconds of admitted-but-unserved work.
@@ -42,7 +49,8 @@ struct NodeLoadSignal {
   /// fraction. Several imperfect views of "how busy" are combined by max
   /// because any one of them saturating means batches to this node already
   /// pay the overload price.
-  double Pressure(Duration backlog_ref, Duration sojourn_ref) const {
+  double Pressure(Duration backlog_ref = kPressureBacklogRef,
+                  Duration sojourn_ref = kPressureSojournRef) const {
     double pressure = std::max(utilization, shed_fraction);
     if (backlog_ref > 0) {
       pressure = std::max(pressure, static_cast<double>(queue_delay) /

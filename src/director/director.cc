@@ -412,8 +412,7 @@ void Director::MaybeRepairReplicas() {
             current->replicas.end()) {
           continue;
         }
-        double pressure =
-            cluster_->NodeLoad(candidate).Pressure(200 * kMillisecond, 20 * kMillisecond);
+        double pressure = cluster_->NodeLoad(candidate).Pressure();
         if (target == kInvalidNode || pressure < best_pressure) {
           target = candidate;
           best_pressure = pressure;

@@ -67,13 +67,13 @@ TEST(PriorityAdmissionTest, LowShedsBeforeNormalUnderBacklog) {
 
   Result<Record> low(InternalError("pending"));
   h.node(1)->HandleGet("a", RequestPriority::kLow,
-                       [&](Result<Record> r) { low = std::move(r); });
+                       [&](PointReadReply reply) { low = std::move(reply.result); });
   EXPECT_EQ(low.status().code(), StatusCode::kResourceExhausted);  // shed synchronously
 
   bool normal_done = false;
-  h.node(1)->HandleGet("a", RequestPriority::kNormal, [&](Result<Record> r) {
+  h.node(1)->HandleGet("a", RequestPriority::kNormal, [&](PointReadReply reply) {
     normal_done = true;
-    EXPECT_EQ(r.status().code(), StatusCode::kNotFound);  // admitted, served
+    EXPECT_EQ(reply.result.status().code(), StatusCode::kNotFound);  // admitted, served
   });
   h.loop.RunFor(3 * kSecond);
   EXPECT_TRUE(normal_done);
@@ -90,7 +90,7 @@ TEST(PriorityAdmissionTest, AllClassesAdmittedWhenIdle) {
   for (RequestPriority priority :
        {RequestPriority::kLow, RequestPriority::kNormal, RequestPriority::kHigh}) {
     bool done = false;
-    h.node(1)->HandleGet("a", priority, [&](Result<Record>) { done = true; });
+    h.node(1)->HandleGet("a", priority, [&](PointReadReply) { done = true; });
     h.loop.RunFor(kSecond);
     EXPECT_TRUE(done);
   }
@@ -111,7 +111,7 @@ TEST(PriorityAdmissionTest, SaturationShedsLowFirstAndFavorsHigh) {
   for (int i = 0; i < kAttempts; ++i) {
     for (RequestPriority priority :
          {RequestPriority::kLow, RequestPriority::kNormal, RequestPriority::kHigh}) {
-      h.node(1)->HandleGet("a", priority, [](Result<Record>) {});
+      h.node(1)->HandleGet("a", priority, [](PointReadReply) {});
     }
     h.loop.RunFor(10 * kSecond);  // drain so the explicit queue stays empty
   }
@@ -134,7 +134,7 @@ TEST(PriorityAdmissionTest, LoadSignalTracksBacklogAndSheds) {
   EXPECT_GE(loaded.queue_delay, 1700 * kMillisecond);
 
   // Sheds move the shed EWMA; admissions decay it.
-  h.node(1)->HandleGet("a", RequestPriority::kLow, [](Result<Record>) {});
+  h.node(1)->HandleGet("a", RequestPriority::kLow, [](PointReadReply) {});
   EXPECT_GT(h.cluster.NodeLoad(1).shed_fraction, 0.0);
 
   // Unknown nodes report a zero signal.

@@ -3,6 +3,7 @@
 // rebalancing.
 
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -508,7 +509,7 @@ TEST(NodeModelTest, LatencyGrowsWithQueueDepth) {
   // Saturate: submit a burst far above per-request service time.
   int completed = 0;
   for (int i = 0; i < 100; ++i) {
-    node->HandleGet("k", RequestPriority::kNormal, [&](Result<Record>) { ++completed; });
+    node->HandleGet("k", RequestPriority::kNormal, [&](PointReadReply) { ++completed; });
   }
   // Queue delay should now be ~100 * service_time.
   EXPECT_GE(node->queue_delay(), 99 * node->config().get_service_time);
@@ -526,8 +527,8 @@ TEST(NodeModelTest, OverloadShedsRequests) {
   StorageNode* node = tc.nodes[0].get();
   int shed = 0, served = 0;
   for (int i = 0; i < 1000; ++i) {
-    node->HandleGet("k", RequestPriority::kNormal, [&](Result<Record> r) {
-      if (!r.ok() && r.status().code() == StatusCode::kResourceExhausted) {
+    node->HandleGet("k", RequestPriority::kNormal, [&](PointReadReply reply) {
+      if (reply.result.status().code() == StatusCode::kResourceExhausted) {
         ++shed;
       } else {
         ++served;
@@ -546,9 +547,175 @@ TEST(NodeModelTest, DeadNodeIgnoresRequests) {
   StorageNode* node = tc.nodes[0].get();
   node->set_alive(false);
   bool called = false;
-  node->HandleGet("k", RequestPriority::kNormal, [&](Result<Record>) { called = true; });
+  node->HandleGet("k", RequestPriority::kNormal, [&](PointReadReply) { called = true; });
   tc.loop.RunFor(kSecond);
   EXPECT_FALSE(called);
+}
+
+// ------------------------------------------------------ Node serve contract --
+//
+// Every client handler follows one protocol: admit, serve once the modelled
+// sojourn has elapsed, reply once. Each case drives one handler directly on
+// a one-node cluster and checks the reply count, the shape of a shed reply,
+// and the node's counters.
+
+enum class NodeOp { kGet, kMultiGet, kScan, kWrite, kMultiWrite, kConditionalPut };
+
+struct NodeServeCase {
+  const char* name;
+  NodeOp op;
+  /// Items one call carries: keys of a MultiGet, records of a MultiWrite.
+  /// A shed reply has one status per item; a served call completes this
+  /// many ops.
+  int64_t items;
+};
+
+const NodeServeCase kNodeServeCases[] = {
+    {"Get", NodeOp::kGet, 1},
+    {"MultiGet", NodeOp::kMultiGet, 3},
+    {"Scan", NodeOp::kScan, 1},
+    {"Write", NodeOp::kWrite, 1},
+    {"MultiWrite", NodeOp::kMultiWrite, 2},
+    {"ConditionalPut", NodeOp::kConditionalPut, 1},
+};
+
+struct ServeOutcome {
+  int calls = 0;
+  std::vector<Status> statuses;  ///< One per item, from the last reply.
+  std::vector<Time> as_of;       ///< MultiGet only.
+
+  void Take(const Status& s) { statuses = {s}; }
+  void Take(const std::vector<Status>& s) { statuses = s; }
+  void Take(const Result<Record>& r) { statuses = {r.status()}; }
+  void Take(const Result<std::vector<Record>>& r) { statuses = {r.status()}; }
+  void Take(const PointReadReply& reply) { Take(reply.result); }
+  void Take(const MultiGetReply& reply) {
+    statuses.clear();
+    for (const Result<Record>& r : reply.results) statuses.push_back(r.status());
+    as_of = reply.as_of;
+  }
+};
+
+/// Calls `op`'s handler on `node` once; the outcome counts its replies.
+std::shared_ptr<ServeOutcome> CallHandler(TestCluster& tc, StorageNode* node, NodeOp op,
+                                          RequestPriority priority) {
+  auto outcome = std::make_shared<ServeOutcome>();
+  auto reply = [outcome](auto r) {
+    ++outcome->calls;
+    outcome->Take(r);
+  };
+  const PartitionId pid = tc.cluster.partitions()->ForKey("a").id;
+  WalRecord put;
+  put.key = "a";
+  put.value = "v";
+  put.version = Version{tc.loop.Now() + 1, kClient};
+  switch (op) {
+    case NodeOp::kGet:
+      node->HandleGet("a", priority, reply);
+      break;
+    case NodeOp::kMultiGet:
+      node->HandleMultiGet({"a", "b", "c"}, priority, reply);
+      break;
+    case NodeOp::kScan:
+      node->HandleScan("a", "z", 0, priority, reply);
+      break;
+    case NodeOp::kWrite:
+      node->HandleWrite(pid, put, AckMode::kPrimary, priority, reply);
+      break;
+    case NodeOp::kMultiWrite: {
+      WalRecord second = put;
+      second.key = "b";
+      node->HandleMultiWrite({MultiWriteItem{pid, put}, MultiWriteItem{pid, second}},
+                             AckMode::kPrimary, priority, reply);
+      break;
+    }
+    case NodeOp::kConditionalPut:
+      node->HandleConditionalPut(pid, "a", "v", std::nullopt, put.version, AckMode::kPrimary,
+                                 priority, reply);
+      break;
+  }
+  return outcome;
+}
+
+class NodeServeContractTest : public testing::TestWithParam<NodeServeCase> {
+ protected:
+  NodeServeContractTest() : tc_(1, 1), node_(tc_.nodes[0].get()) {}
+
+  TestCluster tc_;
+  StorageNode* node_;
+};
+
+TEST_P(NodeServeContractTest, IdleNodeRepliesOnceAndCountsItsItems) {
+  const NodeServeCase& c = GetParam();
+  auto outcome = CallHandler(tc_, node_, c.op, RequestPriority::kNormal);
+  tc_.loop.RunFor(kSecond);
+  EXPECT_EQ(outcome->calls, 1);
+  EXPECT_EQ(node_->stats().ops_completed, c.items);
+}
+
+TEST_P(NodeServeContractTest, SaturatedNodeShedsLowPriorityInItsOwnShape) {
+  const NodeServeCase& c = GetParam();
+  node_->SetBackgroundLoad(1.0, 0);
+  auto outcome = CallHandler(tc_, node_, c.op, RequestPriority::kLow);
+  tc_.loop.RunFor(kSecond);
+  EXPECT_EQ(outcome->calls, 1);
+  ASSERT_EQ(outcome->statuses.size(),
+            static_cast<size_t>(c.op == NodeOp::kMultiGet || c.op == NodeOp::kMultiWrite
+                                    ? c.items
+                                    : 1));
+  for (const Status& status : outcome->statuses) {
+    EXPECT_EQ(status.code(), StatusCode::kResourceExhausted) << status.message();
+  }
+  if (c.op == NodeOp::kMultiGet) {
+    EXPECT_EQ(outcome->as_of, std::vector<Time>(static_cast<size_t>(c.items), 0));
+  }
+  EXPECT_EQ(node_->stats().shed_by_priority[static_cast<int>(RequestPriority::kLow)], 1);
+  EXPECT_EQ(node_->stats().ops_completed, 0);
+}
+
+TEST_P(NodeServeContractTest, DeadNodeNeverReplies) {
+  node_->set_alive(false);
+  auto outcome = CallHandler(tc_, node_, GetParam().op, RequestPriority::kNormal);
+  tc_.loop.RunFor(kSecond);
+  EXPECT_EQ(outcome->calls, 0);
+}
+
+TEST_P(NodeServeContractTest, NodeKilledDuringServiceNeverReplies) {
+  auto outcome = CallHandler(tc_, node_, GetParam().op, RequestPriority::kNormal);
+  // Admitted (the simulator always posts the modelled service), not served.
+  EXPECT_EQ(node_->stats().admitted_by_priority[static_cast<int>(RequestPriority::kNormal)], 1);
+  node_->set_alive(false);
+  tc_.loop.RunFor(kSecond);
+  EXPECT_EQ(outcome->calls, 0);
+  EXPECT_EQ(node_->stats().ops_completed, 0);
+}
+
+INSTANTIATE_TEST_SUITE_P(ClientHandlers, NodeServeContractTest,
+                         testing::ValuesIn(kNodeServeCases),
+                         [](const testing::TestParamInfo<NodeServeCase>& info) {
+                           return std::string(info.param.name);
+                         });
+
+// A point read carries the serving replica's watermark as of the reply: a
+// primary is current ("now"), a secondary its replicated_through.
+TEST(NodeServeContractTest, GetReplyCarriesServeTimeWatermark) {
+  TestCluster tc(2, 2);
+  const PartitionInfo& p = tc.cluster.partitions()->ForKey("k");
+  tc.loop.RunFor(2 * kSecond);  // heartbeats give the secondary a watermark
+  for (NodeId id : p.replicas) {
+    StorageNode* node = tc.cluster.GetNode(id);
+    Time as_of = -1;
+    Time replied_at = -1;
+    Time watermark = -1;
+    node->HandleGet("k", RequestPriority::kNormal, [&](PointReadReply reply) {
+      as_of = reply.as_of;
+      replied_at = tc.loop.Now();
+      watermark = node->replicated_through(p.id);
+    });
+    tc.loop.RunFor(kSecond);
+    EXPECT_GT(as_of, 0) << "node " << id;
+    EXPECT_EQ(as_of, id == p.primary() ? replied_at : watermark) << "node " << id;
+  }
 }
 
 // ------------------------------------------------------------ Replication --

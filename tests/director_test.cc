@@ -235,7 +235,7 @@ TEST(DirectorTest, SnapshotsExposePriorityShedsAndBacklog) {
   StorageNode* hot = h.cluster.GetNode(alive.front());
   hot->InjectBackgroundLoad(3 * kSecond);  // clamped near the 2s queue cap
   for (int i = 0; i < 5; ++i) {
-    hot->HandleGet("k", RequestPriority::kLow, [](Result<Record>) {});
+    hot->HandleGet("k", RequestPriority::kLow, [](PointReadReply) {});
   }
   size_t history_before = h.director->history().size();
   h.loop.RunFor(2 * config.control_interval);

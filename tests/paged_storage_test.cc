@@ -515,6 +515,11 @@ TEST(PagedNodeTest, NodeSelectsPagedEngineAndChargesFaultLatency) {
   config.paged_storage.buffer_pool_bytes = 4 * 1024;
   StorageNode node(1, &loop, &network, &cluster, config, /*seed=*/9);
   ASSERT_TRUE(cluster.AddNode(1, &node).ok());
+  // A point read's reply carries the node's watermark for the key's
+  // partition, so the node needs a partition map to serve one.
+  auto map = PartitionMap::Create({}, {1}, 1);
+  ASSERT_TRUE(map.ok());
+  cluster.set_partitions(std::move(map).value());
 
   // Seed directly through the engine (bypassing admission), then drain the
   // IO the seeding accrued so it isn't charged to the first request.
@@ -548,9 +553,9 @@ TEST(PagedNodeTest, NodeSelectsPagedEngineAndChargesFaultLatency) {
   int64_t faults_before = paged->metrics().CounterValue("page_faults");
   Time cold_done = 0;
   Time start = loop.Now();
-  node.HandleGet(Key(7), RequestPriority::kNormal, [&](Result<Record> result) {
-    ASSERT_TRUE(result.ok());
-    EXPECT_EQ(result->value, ValueOf(7));
+  node.HandleGet(Key(7), RequestPriority::kNormal, [&](PointReadReply reply) {
+    ASSERT_TRUE(reply.result.ok());
+    EXPECT_EQ(reply.result->value, ValueOf(7));
     cold_done = loop.Now();
   });
   loop.RunFor(10 * kMillisecond);
@@ -560,8 +565,8 @@ TEST(PagedNodeTest, NodeSelectsPagedEngineAndChargesFaultLatency) {
 
   Time warm_done = 0;
   Time warm_start = loop.Now();
-  node.HandleGet(Key(7), RequestPriority::kNormal, [&](Result<Record> result) {
-    ASSERT_TRUE(result.ok());
+  node.HandleGet(Key(7), RequestPriority::kNormal, [&](PointReadReply reply) {
+    ASSERT_TRUE(reply.result.ok());
     warm_done = loop.Now();
   });
   loop.RunFor(10 * kMillisecond);

@@ -199,8 +199,8 @@ TEST(DriverTest, OverloadShedsAndSlowsProbes) {
   // Probes through the real path now mostly shed (overload fraction).
   int served = 0, shed = 0;
   for (int i = 0; i < 200; ++i) {
-    h.nodes[0]->HandleGet("k", RequestPriority::kNormal, [&](Result<Record> r) {
-      if (!r.ok() && r.status().code() == StatusCode::kResourceExhausted) {
+    h.nodes[0]->HandleGet("k", RequestPriority::kNormal, [&](PointReadReply reply) {
+      if (reply.result.status().code() == StatusCode::kResourceExhausted) {
         ++shed;
       } else {
         ++served;
@@ -223,7 +223,7 @@ TEST(DriverTest, ModerateLoadRaisesProbeLatency) {
   for (int i = 0; i < 300; ++i) {
     Time start = h.loop.Now();
     bool done = false;
-    h.nodes[0]->HandleGet("k", RequestPriority::kNormal, [&](Result<Record>) { done = true; });
+    h.nodes[0]->HandleGet("k", RequestPriority::kNormal, [&](PointReadReply) { done = true; });
     for (int step = 0; step < 1000 && !done; ++step) {
       if (!h.loop.RunOne()) h.loop.RunFor(100);
     }
