@@ -19,10 +19,14 @@
 // reply, and the timer.
 //
 // Lifetimes: the winner's continuation is released as soon as it has run;
-// the loser's lives as long as the claim (a cancelled timer holds it until
-// its deadline). Releasing the loser at claim time too slowed the
-// benchmark's MultiWrite preload by ~15%: batch state then dies with each
-// reply, and allocator trim-and-regrow per batch is the likely cause.
+// the loser's lives as long as the claim. Executor::Cancel destroys the
+// timer's closure, so after a winning reply the claim, loser included, dies
+// with the reply's delivery instead of waiting out the timeout. Against
+// timers that held the claim until their deadline, perfbench's setup_s
+// (its MultiWrite preload; 10-20 alternating pairs on a 4-vCPU KVM guest)
+// moved +6-10% on point_uniform, +2% on point_zipf_cached and -8% on
+// feed_rf3; the ~15% preload slowdown once measured for releasing the
+// loser early did not reproduce.
 
 #ifndef SCADS_CLUSTER_ATTEMPT_H_
 #define SCADS_CLUSTER_ATTEMPT_H_

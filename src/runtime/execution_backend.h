@@ -7,8 +7,9 @@
 //
 //   Executor       — "run this closure later": timers, periodic ticks, and
 //                    a clock. The deterministic simulator's EventLoop is
-//                    one implementation; ThreadedRuntime's per-worker
-//                    timer wheels are another.
+//                    one implementation; ThreadedRuntime's worker threads
+//                    are another. Both keep pending tasks in a TimerQueue
+//                    (runtime/timer_queue.h), a heap of deadlines.
 //   MessageFabric  — "deliver this closure at that NodeId": the message
 //                    substrate. SimNetwork implements it with sampled
 //                    latency/loss/partitions over simulated time;
@@ -83,8 +84,9 @@ class Executor {
   /// the whole chain.
   virtual TaskId SchedulePeriodic(Duration period, std::function<void()> fn) = 0;
 
-  /// Cancels a pending (or periodic) task. Returns false when it already
-  /// ran or does not exist.
+  /// Cancels a pending (or periodic) task and destroys its closure before
+  /// returning (a periodic task cancelled mid-run: when that run ends).
+  /// Returns false when it already ran or does not exist.
   virtual bool Cancel(TaskId id) = 0;
 
   /// True when schedules replay identically (simulated time, single

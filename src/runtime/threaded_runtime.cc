@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <optional>
 #include <utility>
 
 namespace scads {
@@ -76,29 +77,17 @@ int ThreadedRuntime::HomeWorker() {
   return next_external_.fetch_add(1, std::memory_order_relaxed) % worker_count();
 }
 
-void ThreadedRuntime::EnqueueTask(int worker, TaskId id, std::function<void()> fn) {
+Executor::TaskId ThreadedRuntime::ArmTimer(int worker, Time when, Duration period,
+                                           std::function<void()> fn) {
   Worker& w = *workers_[worker];
-  {
-    std::lock_guard<std::mutex> lock(w.mu);
-    if (w.stop) return;
-    w.live.insert(id);
-    w.queue.push_back(QueuedTask{id, std::move(fn)});
-  }
-  w.cv.notify_one();
-}
-
-Executor::TaskId ThreadedRuntime::ArmTimer(int worker, Time when, std::function<void()> fn,
-                                           bool periodic, TaskId reuse_id) {
-  Worker& w = *workers_[worker];
-  TaskId id = reuse_id != kInvalidTask ? reuse_id : NextId(worker);
+  TaskId id = NextId(worker);
   bool wake = false;
   {
     std::lock_guard<std::mutex> lock(w.mu);
     if (w.stop) return id;
-    w.live.insert(id);
-    wake = w.timers.empty() || when < w.timers.front().when;
-    w.timers.push_back(TimerEntry{when, id, std::move(fn), periodic});
-    std::push_heap(w.timers.begin(), w.timers.end(), TimerLater{});
+    std::optional<Time> next = w.timers.NextDeadline();
+    wake = !next || when < *next;
+    w.timers.Add(id, when, period, std::move(fn));
   }
   // A new earliest deadline shortens the worker's current wait.
   if (wake) w.cv.notify_one();
@@ -106,40 +95,25 @@ Executor::TaskId ThreadedRuntime::ArmTimer(int worker, Time when, std::function<
 }
 
 Executor::TaskId ThreadedRuntime::ScheduleAt(Time t, std::function<void()> fn) {
-  return ScheduleAfter(t - Now(), std::move(fn));
+  return ArmTimer(HomeWorker(), std::max(t, Now()), /*period=*/0, std::move(fn));
 }
 
 Executor::TaskId ThreadedRuntime::ScheduleAfter(Duration delay, std::function<void()> fn) {
-  int worker = HomeWorker();
-  if (delay <= 0) {
-    TaskId id = NextId(worker);
-    EnqueueTask(worker, id, std::move(fn));
-    return id;
-  }
-  return ArmTimer(worker, Now() + delay, std::move(fn), /*periodic=*/false);
+  return ArmTimer(HomeWorker(), Now() + std::max<Duration>(delay, 0), /*period=*/0,
+                  std::move(fn));
 }
 
 Executor::TaskId ThreadedRuntime::SchedulePeriodic(Duration period, std::function<void()> fn) {
-  int worker = HomeWorker();
-  Worker& w = *workers_[worker];
-  TaskId id = NextId(worker);
-  {
-    std::lock_guard<std::mutex> lock(w.mu);
-    if (w.stop) return id;
-    w.periodics[id] = PeriodicState{std::max<Duration>(period, 1), std::move(fn)};
-  }
-  ArmTimer(worker, Now() + std::max<Duration>(period, 1), nullptr, /*periodic=*/true, id);
-  return id;
+  period = std::max<Duration>(period, 1);
+  return ArmTimer(HomeWorker(), Now() + period, period, std::move(fn));
 }
 
 bool ThreadedRuntime::Cancel(TaskId id) {
   if (id == kInvalidTask) return false;
   Worker& w = *workers_[WorkerIndexOf(id)];
+  std::function<void()> freed;  // declared first: destroyed after the unlock
   std::lock_guard<std::mutex> lock(w.mu);
-  if (w.live.erase(id) == 0) return false;
-  w.cancelled.insert(id);
-  w.periodics.erase(id);
-  return true;
+  return w.timers.Cancel(id, &freed);
 }
 
 void ThreadedRuntime::Send(NodeId from, NodeId to, int64_t payload_bytes,
@@ -147,54 +121,42 @@ void ThreadedRuntime::Send(NodeId from, NodeId to, int64_t payload_bytes,
   (void)from;
   (void)payload_bytes;
   sent_.fetch_add(1, std::memory_order_relaxed);
-  int worker = WorkerOf(to);
-  EnqueueTask(worker, NextId(worker), std::move(deliver));
+  Worker& w = *workers_[WorkerOf(to)];
+  {
+    std::lock_guard<std::mutex> lock(w.mu);
+    if (w.stop) return;
+    w.deliveries.push_back(std::move(deliver));
+  }
+  w.cv.notify_one();
 }
 
 bool ThreadedRuntime::RunOneLocked(std::unique_lock<std::mutex>& lock, Worker& w) {
-  // Queue first (message/post order), then due timers.
-  while (!w.queue.empty()) {
-    QueuedTask task = std::move(w.queue.front());
-    w.queue.pop_front();
-    if (w.cancelled.erase(task.id)) continue;
-    w.live.erase(task.id);
+  // Deliveries first (message order), then the earliest due timer. Every
+  // closure is destroyed outside the lock.
+  if (!w.deliveries.empty()) {
+    std::function<void()> deliver = std::move(w.deliveries.front());
+    w.deliveries.pop_front();
     lock.unlock();
-    task.fn();
+    deliver();
+    deliver = nullptr;
     tasks_executed_.fetch_add(1, std::memory_order_relaxed);
     lock.lock();
     return true;
   }
-  Time now = Now();
-  while (!w.timers.empty() && w.timers.front().when <= now) {
-    std::pop_heap(w.timers.begin(), w.timers.end(), TimerLater{});
-    TimerEntry entry = std::move(w.timers.back());
-    w.timers.pop_back();
-    if (w.cancelled.erase(entry.id)) continue;
-    if (entry.periodic) {
-      auto it = w.periodics.find(entry.id);
-      if (it == w.periodics.end()) continue;  // cancelled mid-flight
-      Duration period = it->second.period;
-      std::function<void()> fn = it->second.fn;  // copy: survives the run
-      lock.unlock();
-      fn();
-      tasks_executed_.fetch_add(1, std::memory_order_relaxed);
-      lock.lock();
-      // Re-arm unless Cancel ran while we were executing. live still
-      // holds the id (periodic entries stay live until cancelled).
-      if (w.live.count(entry.id) && !w.stop) {
-        w.timers.push_back(TimerEntry{Now() + period, entry.id, nullptr, true});
-        std::push_heap(w.timers.begin(), w.timers.end(), TimerLater{});
-      }
-      return true;
-    }
-    w.live.erase(entry.id);
-    lock.unlock();
-    entry.fn();
-    tasks_executed_.fetch_add(1, std::memory_order_relaxed);
+  TimerQueue::Due due;
+  if (!w.timers.PopDue(Now(), &due)) return false;
+  lock.unlock();
+  due.fn();
+  tasks_executed_.fetch_add(1, std::memory_order_relaxed);
+  if (due.period > 0) {
+    // Hands the closure back unless Cancel ran while it executed.
     lock.lock();
-    return true;
+    w.timers.Rearm(&due, Now());
+    lock.unlock();
   }
-  return false;
+  due.fn = nullptr;
+  lock.lock();
+  return true;
 }
 
 void ThreadedRuntime::WorkerLoop(int index) {
@@ -205,10 +167,11 @@ void ThreadedRuntime::WorkerLoop(int index) {
   while (true) {
     if (w.stop) return;
     if (RunOneLocked(lock, w)) continue;
-    if (w.timers.empty()) {
+    std::optional<Time> next = w.timers.NextDeadline();
+    if (!next) {
       w.cv.wait(lock);
     } else {
-      Duration until = w.timers.front().when - Now();
+      Duration until = *next - Now();
       if (until > 0) w.cv.wait_for(lock, std::chrono::microseconds(until));
     }
   }

@@ -1,8 +1,10 @@
 // ThreadedRuntime: the real-threads ExecutionBackend.
 //
-// N worker threads, each with its own task queue and timer heap. Two
-// dispatch rules give the data plane its serialization guarantees without
-// a lock inside every component:
+// N worker threads. Each keeps a FIFO of fabric deliveries and a
+// TimerQueue (runtime/timer_queue.h, the same pending-task store the
+// simulator's EventLoop uses) behind one mutex. Two dispatch rules give
+// the data plane its serialization guarantees without a lock inside every
+// component:
 //
 //  * Sharded delivery — a NodeId registered with RegisterDestination is
 //    pinned to one worker; every fabric message addressed to it runs on
@@ -17,6 +19,13 @@
 //    worker. Calls from non-worker threads (clients arming request
 //    timeouts) round-robin across workers; anything those timers touch
 //    (Router request state) carries its own lock.
+//
+// A worker runs queued deliveries first, then due timers. A delivery has
+// no TaskId and cannot be cancelled; ScheduleAfter(<= 0) is a timer due
+// at Now(), so it can be. Cancel destroys the timer's closure before it
+// returns (outside the worker lock), so a cancelled request timeout keeps
+// no closure alive until its deadline. Closures that ran are destroyed
+// outside the lock too.
 //
 // Service-completion callbacks follow RunAfterModelled's rule
 // (execution_backend.h): a zero modelled delay runs inline, so a node
@@ -47,12 +56,12 @@
 #include <shared_mutex>
 #include <thread>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "common/clock.h"
 #include "common/types.h"
 #include "runtime/execution_backend.h"
+#include "runtime/timer_queue.h"
 
 namespace scads {
 
@@ -109,39 +118,11 @@ class ThreadedRuntime final : public ExecutionBackend {
   static constexpr int kWorkerBits = 6;
   static constexpr TaskId kWorkerMask = (TaskId{1} << kWorkerBits) - 1;
 
-  struct QueuedTask {
-    TaskId id;
-    std::function<void()> fn;
-  };
-
-  /// One-shot or periodic-firing heap entry. Periodic entries carry no fn;
-  /// the body lives in `periodics` so the chain survives each firing.
-  struct TimerEntry {
-    Time when;
-    TaskId id;
-    std::function<void()> fn;
-    bool periodic = false;
-  };
-  struct TimerLater {
-    bool operator()(const TimerEntry& a, const TimerEntry& b) const {
-      if (a.when != b.when) return a.when > b.when;
-      return a.id > b.id;
-    }
-  };
-
-  struct PeriodicState {
-    Duration period;
-    std::function<void()> fn;
-  };
-
   struct Worker {
     std::mutex mu;
     std::condition_variable cv;
-    std::deque<QueuedTask> queue;
-    std::vector<TimerEntry> timers;  // heap via push_heap/pop_heap (TimerLater)
-    std::unordered_set<TaskId> live;  // schedulable ids not yet run
-    std::unordered_set<TaskId> cancelled;
-    std::unordered_map<TaskId, PeriodicState> periodics;
+    std::deque<std::function<void()>> deliveries;
+    TimerQueue timers;
     bool stop = false;
     std::thread thread;
   };
@@ -159,9 +140,8 @@ class ThreadedRuntime final : public ExecutionBackend {
   /// The worker the calling thread runs on, or a round-robin pick for
   /// external threads.
   int HomeWorker();
-  void EnqueueTask(int worker, TaskId id, std::function<void()> fn);
-  TaskId ArmTimer(int worker, Time when, std::function<void()> fn, bool periodic,
-                  TaskId reuse_id = kInvalidTask);
+  /// Arms a timer (`period` > 0: periodic) on `worker`.
+  TaskId ArmTimer(int worker, Time when, Duration period, std::function<void()> fn);
 
   std::vector<std::unique_ptr<Worker>> workers_;
 

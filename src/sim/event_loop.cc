@@ -1,5 +1,7 @@
 #include "sim/event_loop.h"
 
+#include <algorithm>
+#include <limits>
 #include <utility>
 
 #include "common/logging.h"
@@ -7,9 +9,8 @@
 namespace scads {
 
 EventLoop::EventId EventLoop::ScheduleAt(Time t, std::function<void()> fn) {
-  if (t < Now()) t = Now();
   EventId id = next_id_++;
-  queue_.push(Entry{t, id, std::move(fn)});
+  timers_.Add(id, std::max(t, Now()), /*period=*/0, std::move(fn));
   return id;
 }
 
@@ -20,74 +21,30 @@ EventLoop::EventId EventLoop::ScheduleAfter(Duration delay, std::function<void()
 
 EventLoop::EventId EventLoop::SchedulePeriodic(Duration period, std::function<void()> fn) {
   SCADS_CHECK(period > 0);
-  // The periodic id is the id of its *first* firing; the chain keeps the
-  // entry in periodics_ keyed by that id.
   EventId id = next_id_++;
-  periodics_[id] = PeriodicState{period, std::move(fn), kInvalidEvent};
-  queue_.push(Entry{Now() + period, id, nullptr});  // nullptr marks periodic tick
-  periodics_[id].next_event = id;
+  timers_.Add(id, Now() + period, period, std::move(fn));
   return id;
 }
 
-void EventLoop::ArmPeriodic(EventId id) {
-  auto it = periodics_.find(id);
-  if (it == periodics_.end()) return;  // cancelled during callback
-  EventId tick = next_id_++;
-  it->second.next_event = tick;
-  // Periodic ticks carry no fn; dispatch looks the chain up by owner id.
-  queue_.push(Entry{Now() + it->second.period, tick, [this, id] {
-                      auto owner = periodics_.find(id);
-                      if (owner == periodics_.end()) return;
-                      owner->second.fn();
-                      ArmPeriodic(id);
-                    }});
+bool EventLoop::Cancel(EventId id) {
+  std::function<void()> freed;
+  return timers_.Cancel(id, &freed);
 }
 
-bool EventLoop::Cancel(EventId id) {
-  auto it = periodics_.find(id);
-  if (it != periodics_.end()) {
-    cancelled_.insert(it->second.next_event);
-    periodics_.erase(it);
-    return true;
-  }
-  if (id < 0 || id >= next_id_) return false;
-  // We cannot cheaply tell "already ran" from "pending" without a side
-  // table; mark cancelled and let the pop skip it.
-  cancelled_.insert(id);
+bool EventLoop::RunNext(Time limit) {
+  TimerQueue::Due due;
+  if (!timers_.PopDue(limit, &due)) return false;
+  clock_.SetTime(due.when);
+  ++executed_;
+  due.fn();
+  if (due.period > 0) timers_.Rearm(&due, Now());
   return true;
 }
 
-bool EventLoop::RunOne() {
-  while (!queue_.empty()) {
-    Entry top = queue_.top();
-    queue_.pop();
-    if (cancelled_.erase(top.id) > 0) continue;
-    clock_.SetTime(top.time);
-    ++executed_;
-    if (top.fn) {
-      top.fn();
-    } else {
-      // First firing of a periodic task.
-      auto it = periodics_.find(top.id);
-      if (it != periodics_.end()) {
-        it->second.fn();
-        ArmPeriodic(top.id);
-      }
-    }
-    return true;
-  }
-  return false;
-}
+bool EventLoop::RunOne() { return RunNext(std::numeric_limits<Time>::max()); }
 
 void EventLoop::RunUntil(Time deadline) {
-  while (!queue_.empty()) {
-    const Entry& top = queue_.top();
-    if (top.time > deadline) break;
-    if (cancelled_.erase(top.id) > 0) {
-      queue_.pop();
-      continue;
-    }
-    RunOne();
+  while (RunNext(deadline)) {
   }
   if (Now() < deadline) clock_.SetTime(deadline);
 }

@@ -2,22 +2,21 @@
 //
 // Every system experiment in SCADS runs on an EventLoop: components schedule
 // closures at future simulated times; the loop pops them in (time, sequence)
-// order and advances a ManualClock. Determinism: identical schedules replay
-// identically — no wall time, no threads.
+// order from a TimerQueue (runtime/timer_queue.h, the same pending-task
+// store ThreadedRuntime's workers use) and advances a ManualClock.
+// Determinism: identical schedules replay identically — no wall time, no
+// threads.
 
 #ifndef SCADS_SIM_EVENT_LOOP_H_
 #define SCADS_SIM_EVENT_LOOP_H_
 
 #include <cstdint>
 #include <functional>
-#include <map>
-#include <queue>
-#include <unordered_set>
-#include <vector>
 
 #include "common/clock.h"
 #include "common/types.h"
 #include "runtime/execution_backend.h"
+#include "runtime/timer_queue.h"
 
 namespace scads {
 
@@ -51,8 +50,8 @@ class EventLoop : public Executor {
   /// the whole chain.
   EventId SchedulePeriodic(Duration period, std::function<void()> fn) override;
 
-  /// Cancels a pending (or periodic) event. Returns false when the event
-  /// already ran or does not exist.
+  /// Cancels a pending (or periodic) event and destroys its closure.
+  /// Returns false when the event already ran or does not exist.
   bool Cancel(EventId id) override;
 
   /// Simulated time replays identically.
@@ -73,36 +72,17 @@ class EventLoop : public Executor {
   void RunAll();
 
   /// Number of pending events (periodic chains count once).
-  size_t pending_count() const { return queue_.size() - cancelled_.size(); }
+  size_t pending_count() const { return timers_.size(); }
 
   /// Total events executed since construction.
   int64_t executed_count() const { return executed_; }
 
  private:
-  struct Entry {
-    Time time;
-    EventId id;
-    std::function<void()> fn;
-
-    // Min-heap by (time, id): ties execute in scheduling order.
-    friend bool operator>(const Entry& a, const Entry& b) {
-      if (a.time != b.time) return a.time > b.time;
-      return a.id > b.id;
-    }
-  };
-
-  struct PeriodicState {
-    Duration period;
-    std::function<void()> fn;
-    EventId next_event;
-  };
-
-  void ArmPeriodic(EventId id);
+  /// Pops the earliest event due at or before `limit` and runs it.
+  bool RunNext(Time limit);
 
   ManualClock clock_;
-  std::priority_queue<Entry, std::vector<Entry>, std::greater<>> queue_;
-  std::unordered_set<EventId> cancelled_;
-  std::map<EventId, PeriodicState> periodics_;
+  TimerQueue timers_;
   EventId next_id_ = 0;
   int64_t executed_ = 0;
 };

@@ -623,7 +623,7 @@ void PagedEngine::SpillMemtable() {
       it.Next();
     }
     // Split while pinned so the budget pass cannot evict the page mid-merge.
-    SplitIfOversized(span.id, frame);
+    SplitIfOversized(frame);
     pool_.Unpin(frame);
   }
   mem_ = std::make_unique<SkipList>(next_mem_seed_++);
@@ -652,7 +652,7 @@ void PagedEngine::MergeIntoFrame(PageFrame* frame, Record record) {
   MarkDirty(frame);
 }
 
-void PagedEngine::SplitIfOversized(PageId id, PageFrame* frame) {
+void PagedEngine::SplitIfOversized(PageFrame* frame) {
   while (frame->bytes > options_.config.page_bytes && frame->records.size() >= 2) {
     size_t mid = frame->records.size() / 2;
     std::string split_key = frame->records[mid].key;
@@ -678,7 +678,7 @@ void PagedEngine::SplitIfOversized(PageId id, PageFrame* frame) {
     MarkDirty(frame);
     MarkDirty(fresh);
     counters_.page_splits->Increment();
-    SplitIfOversized(fresh_id, fresh);
+    SplitIfOversized(fresh);
     pool_.Unpin(fresh);
   }
 }

@@ -1,6 +1,7 @@
 // Unit tests for src/sim: event loop, network, cloud, failure injection.
 
 #include <algorithm>
+#include <memory>
 #include <vector>
 
 #include "common/types.h"
@@ -81,6 +82,27 @@ TEST(EventLoopTest, CancelPreventsExecution) {
   EXPECT_TRUE(loop.Cancel(id));
   loop.RunAll();
   EXPECT_FALSE(ran);
+}
+
+TEST(EventLoopTest, CancelAfterRunReturnsFalseAndKeepsPendingCount) {
+  EventLoop loop;
+  auto ran = loop.ScheduleAt(10, [] {});
+  loop.ScheduleAt(20, [] {});
+  loop.RunUntil(15);
+  EXPECT_FALSE(loop.Cancel(ran));
+  EXPECT_EQ(loop.pending_count(), 1u);
+  loop.RunAll();
+  EXPECT_EQ(loop.pending_count(), 0u);
+}
+
+TEST(EventLoopTest, CancelDestroysClosure) {
+  EventLoop loop;
+  auto state = std::make_shared<int>(0);
+  std::weak_ptr<int> watch = state;
+  auto id = loop.ScheduleAt(10, [state = std::move(state)] { ++*state; });
+  EXPECT_TRUE(loop.Cancel(id));
+  EXPECT_TRUE(watch.expired());
+  EXPECT_EQ(loop.pending_count(), 0u);
 }
 
 TEST(EventLoopTest, PeriodicFiresRepeatedly) {

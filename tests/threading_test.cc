@@ -85,6 +85,41 @@ TEST(ThreadedRuntimeTest, TimersFireAndCancelWins) {
   runtime.Shutdown();
 }
 
+TEST(ThreadedRuntimeTest, CancelDestroysTimerClosureBeforeReturning) {
+  ThreadedRuntime runtime;
+  auto state = std::make_shared<int>(0);
+  std::weak_ptr<int> watch = state;
+  Executor::TaskId id =
+      runtime.ScheduleAfter(10 * kSecond, [state = std::move(state)] { ++*state; });
+  EXPECT_FALSE(watch.expired());
+  EXPECT_TRUE(runtime.Cancel(id));
+  EXPECT_TRUE(watch.expired());
+  runtime.Shutdown();
+}
+
+TEST(ThreadedRuntimeTest, ZeroDelayPostRunsAndCanBeCancelled) {
+  ThreadedRuntime runtime;
+  runtime.RegisterDestination(3, /*worker=*/0);
+  std::atomic<bool> ran{false};
+  std::atomic<bool> cancelled_ran{false};
+  std::atomic<bool> cancel_won{false};
+  // Armed from inside a delivery, both posts land on the same busy worker,
+  // so the second is still pending when the delivery cancels it.
+  runtime.Send(1, 3, [&] {
+    runtime.ScheduleAfter(0, [&] { ran = true; });
+    Executor::TaskId doomed = runtime.ScheduleAfter(0, [&] { cancelled_ran = true; });
+    cancel_won = runtime.Cancel(doomed);
+  });
+  for (int i = 0; i < 5000 && !ran; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_TRUE(ran.load());
+  EXPECT_TRUE(cancel_won.load());
+  std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  EXPECT_FALSE(cancelled_ran.load());
+  runtime.Shutdown();
+}
+
 TEST(ThreadedRuntimeTest, PeriodicRepeatsUntilCancelled) {
   ThreadedRuntime runtime;
   std::atomic<int> ticks{0};
